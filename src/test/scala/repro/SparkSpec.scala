@@ -15,6 +15,14 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** (first, second, rhs) rows whose two-attribute LHS keys collide when
+    * joined into one string with the U+0001 separator: ("a␁b", "c") and
+    * ("a", "b␁c"). The first group agrees on X; the second is a singleton,
+    * so nothing violates.
+    */
+  val collidingKeys: Seq[(String, String, String)] =
+    Seq(("a\u0001b", "c", "X"), ("a\u0001b", "c", "X"), ("a", "b\u0001c", "Y"))
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -115,6 +115,14 @@ class PFDSpec extends SparkSpec {
     val v = PFDCheck.violations(d, psi1).collect()
     assert(v.map(_.getAs[Long](PFDCheck.TidCol)).toSet == Set(0L, 1L))
   }
+  test("multi-attribute LHS keys do not collide: (a␁b, c) and (a, b␁c) are two groups") {
+    import spark.implicits._
+    val d = collidingKeys.toDF("first", "second", "rhs")
+    val pfd = PFD(Seq("first", "second"), Seq("rhs"), Seq(
+      PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard))))
+    assert(PFDCheck.satisfies(d, pfd))
+    assert(PFDCheck.violations(d, pfd).isEmpty)
+  }
   test("withTid is idempotent") {
     val once = PFDCheck.withTid(d1)
     assert(PFDCheck.withTid(once).columns.count(_ == PFDCheck.TidCol) == 1)

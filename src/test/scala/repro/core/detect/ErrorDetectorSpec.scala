@@ -68,6 +68,15 @@ class ErrorDetectorSpec extends SparkSpec {
       .select(PFDCheck.TidCol, "attr").distinct().collect()
     assert(v.map(_.getLong(0)).toSet == Set(2L))
   }
+  test("multi-attribute LHS keys do not collide: (a␁b, c) and (a, b␁c) are two groups") {
+    import spark.implicits._
+    val df = collidingKeys.toDF("first", "second", "rhs")
+    val dep = DiscoveredDep(Seq("first", "second"), "rhs",
+      PFD(Seq("first", "second"), Seq("rhs"), Seq(
+        PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard)))),
+      isVariable = true, coverage = 1.0, tableauSize = 1)
+    assert(ErrorDetector.detect(df, Seq(dep)).isEmpty)
+  }
   test("empty dependency list flags nothing") {
     import spark.implicits._
     val df = Seq(("a", "b")).toDF("name", "gender")

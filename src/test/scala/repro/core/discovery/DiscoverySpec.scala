@@ -161,6 +161,14 @@ class DiscoverySpec extends SparkSpec {
     assert(d.isDefined)
   }
 
+  test("variable validation: multi-attribute LHS keys do not collide: (a␁b, c) and (a, b␁c)") {
+    val df = PFDCheck.withTid(
+      collidingKeys.toDF("first", "second", "rhs"))
+    val (matched, violations) = Discovery.validateVariable(df,
+      Map("first" -> Wildcard, "second" -> Wildcard), "rhs", Wildcard)
+    assert(matched == 3 && violations == 0)
+  }
+
   // ------------------------------------------------------------------
   // Tableau selection internals.
   // ------------------------------------------------------------------
