@@ -130,7 +130,7 @@ object PFDCheck {
     pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
     d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
     pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-    d = d.withColumn("__lkey", concat_ws("", pfd.lhs.map(a => col(s"__k_$a")): _*))
+    d = d.withColumn("__lkey", array(pfd.lhs.map(a => col(s"__k_$a")): _*))
 
     // RHS match flags + keys.
     pfd.rhs.foreach { b =>
@@ -193,7 +193,7 @@ object PFDCheck {
       pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
       d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
       pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-      d = d.withColumn("__lkey", concat_ws("", pfd.lhs.map(a => col(s"__k_$a")): _*))
+      d = d.withColumn("__lkey", array(pfd.lhs.map(a => col(s"__k_$a")): _*))
       pfd.rhs.foreach { b =>
         d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
              .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))

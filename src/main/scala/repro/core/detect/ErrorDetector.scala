@@ -68,7 +68,7 @@ object ErrorDetector {
     val rcell = tp.rhsCells(b)
     x = x.withColumn("__rk",
         udf((s: String) => if (s == null) None else rcell.key(s)).apply(col(b).cast("string")))
-      .withColumn("__lkey", concat_ws("", d.pfd.lhs.map(a => col(s"__k_$a")): _*))
+      .withColumn("__lkey", array(d.pfd.lhs.map(a => col(s"__k_$a")): _*))
 
     val perKey = x.groupBy("__lkey", "__rk").agg(count(lit(1)) as "c")
     val w = Window.partitionBy("__lkey")

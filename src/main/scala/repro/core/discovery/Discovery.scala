@@ -379,7 +379,7 @@ object Discovery {
     val rc = rhsCell
     d = d.withColumn("__rk",
       udf((s: String) => if (s == null) None else rc.key(s)).apply(col(rhsAttr).cast("string")))
-      .withColumn("__lkey", concat_ws("", lhsCells.keys.toSeq.sorted.map(a => col(s"__k_$a")): _*))
+      .withColumn("__lkey", array(lhsCells.keys.toSeq.sorted.map(a => col(s"__k_$a")): _*))
     // majority per group via two-level aggregation
     val perKey = d.groupBy("__lkey", "__rk").agg(count(lit(1)) as "c")
     val w = Window.partitionBy("__lkey")
