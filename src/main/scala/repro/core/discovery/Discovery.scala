@@ -49,18 +49,20 @@ final case class DiscoveryResult(
 
 /** The PFD discovery algorithm of Fig. 4, on Spark DataFrames.
   *
-  * Pipeline per table: profile columns → build the inverted pattern index →
-  * substring-prune and support-filter pattern stats → for each LHS attribute
-  * join its frequent patterns against all other attributes' patterns on tid
-  * and aggregate joint counts → the decision function f accepts (p_A → p_B)
-  * when |tids(p_A)| ≥ K and the best co-occurring RHS pattern covers
+  * Pipeline per table: profile columns → build the inverted pattern index
+  * once → substring-prune and support-filter pattern stats → one self-join
+  * of the filtered index on tid aggregates the joint counts of every
+  * attribute pair → the decision function f accepts (p_A → p_B) when
+  * |tids(p_A)| ≥ K and the best co-occurring RHS pattern covers
   * ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop extensions of
   * already-selected patterns, keep the modal position — the single-semantics
   * optimization of §4.4) → report the dependency when the tableau covers ≥ γ
   * of the records → try to generalize the constant tableau to a variable PFD.
   * Level-2 of the attribute lattice conditions on frequent values of the
   * partner attribute (Example 8) after pruning pairs whose children already
-  * produced a dependency.
+  * produced a dependency. Every conditioning slice is a `slice` key of the
+  * same index, so mining costs a fixed number of Spark jobs whatever the
+  * number of attributes and slices.
   */
 object Discovery {
 
@@ -72,28 +74,46 @@ object Discovery {
                          attrB: String, tokB: String, posB: Int, cj: Long,
                          fullA: Boolean = false, fullB: Boolean = false)
 
+  /** A conditioning slice of level 2: the rows whose `cond` equals `value`,
+    * mined on `attrs` only.
+    */
+  private[discovery] final case class Slice(cond: String, value: String, attrs: Seq[String])
+
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    val df = PFDCheck.withTid(df0).cache()
-    val n = df.count()
-    val profiles = Profiler.profile(df)
-    val (single, trivial) = discoverLevel1(df, n, profiles, params)
-    val multi =
-      if (params.maxLhs >= 2) discoverLevel2(df, n, profiles, params, single, trivial)
-      else Seq.empty
-    df.unpersist()
-    DiscoveryResult(single ++ multi, profiles, (System.nanoTime() - t0) / 1000000L)
+    cached(PFDCheck.withTid(df0)) { df =>
+      val n = df.count()
+      val profiles = Profiler.profile(df)
+      val quals = profiles.filter(_.isQualitative)
+      val deps =
+        if (quals.size < 2) Seq.empty
+        else cached(PatternIndex.build(df, quals)) { index =>
+          val (single, trivial) = discoverLevel1(df, index, n, profiles, params)
+          val multi =
+            if (params.maxLhs >= 2) discoverLevel2(df, index, n, profiles, params, single, trivial)
+            else Seq.empty
+          single ++ multi
+        }
+      DiscoveryResult(deps, profiles, (System.nanoTime() - t0) / 1000000L)
+    }
+  }
+
+  /** Run `body` on `d` cached, and unpersist it afterwards even on failure. */
+  private def cached[T](d: DataFrame)(body: DataFrame => T): T = {
+    d.cache()
+    try body(d) finally d.unpersist()
   }
 
   // ------------------------------------------------------------------
   // Level 1: single-LHS candidate dependencies A → B.
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel1(df: DataFrame, n: Long,
+  private[discovery] def discoverLevel1(df: DataFrame, index: DataFrame, n: Long,
                                         profiles: Seq[ColumnProfile],
                                         params: Params): (Seq[DiscoveredDep], Set[(String, String, Int)]) = {
-    val (entries, trivial) = mineEntries(df, profiles, params, n, trivialOverride = None)
-    val byPair = entries.groupBy(e => (e.attrA, e.attrB))
+    val (bySlice, trivial) =
+      mineEntries(index.withColumn("slice", lit(0)), params, n, trivialOverride = None)
+    val byPair = bySlice.getOrElse(0, Seq.empty).groupBy(e => (e.attrA, e.attrB))
     val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
     val deps = byPair.toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
       buildDep(df, Seq(a), b, es, n, n, tokenized, params, conditioning = Map.empty)
@@ -101,73 +121,65 @@ object Discovery {
     (deps, trivial)
   }
 
-  /** Run the index/join/decide pipeline. Returns the accepted tableau
-    * entries and the set of *trivially-covering* patterns of this table —
-    * patterns present in ≥ `maxRhsCover` of the rows (constant id prefixes
-    * and the like), which are rejected as RHS evidence. Level 2 passes the
-    * full-table trivial set via `trivialOverride` so that conditioning on a
-    * slice does not turn a globally-varied column into a "constant" one.
+  /** Mine every slice of `index` (columns slice, tid, attr, token, pos, full)
+    * in one query: pattern stats, substring pruning and the pattern cap per
+    * (slice, attr); one self-join on (slice, tid) over distinct attributes;
+    * one group-by for the joint counts; one best-RHS ranking window. Each
+    * slice's entries are exactly those of mining its rows alone.
+    *
+    * Returns the accepted tableau entries per slice and the set of
+    * *trivially-covering* patterns — patterns present in ≥ `maxRhsCover` of
+    * the `nRows` rows (constant id prefixes and the like), which are
+    * rejected as RHS evidence. Level 2 passes the full-table trivial set via
+    * `trivialOverride` so that conditioning on a slice does not turn a
+    * globally-varied column into a "constant" one.
     */
-  private[discovery] def mineEntries(df: DataFrame, profiles: Seq[ColumnProfile],
-                                     params: Params, nRows: Long,
+  private[discovery] def mineEntries(index: DataFrame, params: Params, nRows: Long,
                                      trivialOverride: Option[Set[(String, String, Int)]])
-      : (Seq[Entry], Set[(String, String, Int)]) = {
-    val quals = profiles.filter(_.isQualitative)
-    if (quals.size < 2) return (Seq.empty, Set.empty)
-    val index = PatternIndex.build(df, quals).cache()
-    val stats = PatternIndex.prunedStats(index, params.maxPatternsPerAttr).cache()
-    val trivial = trivialOverride.getOrElse {
-      stats.filter(col("cnt") >= params.maxRhsCover * nRows)
-        .select("attr", "token", "pos").collect()
-        .map(r => (r.getString(0), r.getString(1), r.getInt(2))).toSet
+      : (Map[Int, Seq[Entry]], Set[(String, String, Int)]) =
+    cached(PatternIndex.prunedStats(index, params.maxPatternsPerAttr)) { stats =>
+      val trivial = trivialOverride.getOrElse {
+        stats.filter(col("cnt") >= params.maxRhsCover * nRows)
+          .select("attr", "token", "pos").collect()
+          .map(r => (r.getString(0), r.getString(1), r.getInt(2))).toSet
+      }
+      val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
+      // trivially-covering patterns must be excluded from the RHS side *before*
+      // best-RHS ranking, or e.g. a constant "univ" email token would shadow
+      // the informative department token.
+      val isTrivial = struct(col("attr"), col("token"), col("pos")).isin(trivial.toSeq.map {
+        case (a, t, p) => struct(lit(a) as "attr", lit(t) as "token", lit(p) as "pos")
+      }: _*)
+      val frequent = index
+        .join(stats.filter(col("cnt") >= minRhsCnt), Seq("slice", "attr", "token", "pos"))
+        .filter(!isTrivial)
+      cached(frequent) { fidx =>
+        val lhsSide = fidx.filter(col("cnt") >= params.minSupport)
+          .select(col("slice"), col("tid"), col("attr") as "attrA", col("token") as "tokA",
+                  col("pos") as "posA", col("cnt") as "cntA", col("isFull") as "fullA")
+        val rhsSide = fidx
+          .select(col("slice"), col("tid"), col("attr") as "attrB", col("token") as "tokB",
+                  col("pos") as "posB", col("full") as "fullB0")
+        val joint = lhsSide.join(rhsSide, Seq("slice", "tid"))
+          .filter(col("attrA") =!= col("attrB"))
+          .groupBy("slice", "attrA", "tokA", "posA", "cntA", "fullA", "attrB", "tokB", "posB")
+          .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
+          .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
+        // best RHS pattern per LHS pattern: most specific first (substring
+        // pruning guarantees a longer pattern is never dominated spuriously),
+        // then most frequent.
+        val w = Window.partitionBy("slice", "attrA", "tokA", "posA", "attrB")
+          .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
+        val entries = joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
+          .select("slice", "attrA", "tokA", "posA", "cntA", "attrB", "tokB", "posB", "cj",
+                  "fullA", "fullB")
+          .collect()
+          .map(r => r.getInt(0) -> Entry(r.getString(1), r.getString(2), r.getInt(3), r.getLong(4),
+                                         r.getString(5), r.getString(6), r.getInt(7), r.getLong(8),
+                                         r.getBoolean(9), r.getBoolean(10)))
+        (entries.toSeq.groupMap(_._1)(_._2), trivial)
+      }
     }
-    val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
-    val spark = df.sparkSession
-    import spark.implicits._
-    // trivially-covering patterns must be excluded from the RHS side *before*
-    // best-RHS ranking, or e.g. a constant "univ" email token would shadow
-    // the informative department token.
-    val trivialDf = trivial.toSeq.toDF("attr", "token", "pos")
-    val fidx = index.join(
-      stats.filter(col("cnt") >= minRhsCnt).select("attr", "token", "pos"),
-      Seq("attr", "token", "pos"))
-      .join(trivialDf, Seq("attr", "token", "pos"), "left_anti")
-      .cache()
-
-    val out = quals.flatMap { pa =>
-      val a = pa.name
-      val lhsSide = fidx.filter(col("attr") === a)
-        .join(stats.filter(col("attr") === a && col("cnt") >= params.minSupport)
-                .select(col("attr"), col("token"), col("pos"),
-                        col("cnt") as "cntA", col("isFull") as "fullA"),
-              Seq("attr", "token", "pos"))
-        .select(col("tid"), col("token") as "tokA", col("pos") as "posA",
-                col("cntA"), col("fullA"))
-      val rhsSide = fidx.filter(col("attr") =!= a)
-        .select(col("tid"), col("attr") as "attrB", col("token") as "tokB",
-                col("pos") as "posB", col("full") as "fullB0")
-      val joint = lhsSide.join(rhsSide, "tid")
-        .groupBy("tokA", "posA", "cntA", "fullA", "attrB", "tokB", "posB")
-        .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
-        .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
-      // best RHS pattern per LHS pattern: most specific first (substring
-      // pruning guarantees a longer pattern is never dominated spuriously),
-      // then most frequent.
-      val w = Window.partitionBy("tokA", "posA", "attrB")
-        .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
-      joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
-        .select(lit(a) as "attrA", col("tokA"), col("posA"), col("cntA"),
-                col("attrB"), col("tokB"), col("posB"), col("cj"),
-                col("fullA"), col("fullB"))
-        .collect()
-        .map(r => Entry(r.getString(0), r.getString(1), r.getInt(2), r.getLong(3),
-                        r.getString(4), r.getString(5), r.getInt(6), r.getLong(7),
-                        r.getBoolean(8), r.getBoolean(9)))
-        .toSeq
-    }
-    fidx.unpersist(); stats.unpersist(); index.unpersist()
-    (out.filterNot(e => trivial.contains((e.attrB, e.tokB, e.posB))), trivial)
-  }
 
   // ------------------------------------------------------------------
   // Tableau selection + PFD construction for one candidate dependency.
@@ -273,7 +285,7 @@ object Discovery {
   // Level 2 of the attribute-set lattice: {A, C} → B (Example 8).
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel2(df: DataFrame, n: Long,
+  private[discovery] def discoverLevel2(df: DataFrame, index: DataFrame, n: Long,
                                         profiles: Seq[ColumnProfile], params: Params,
                                         found: Seq[DiscoveredDep],
                                         trivial: Set[(String, String, Int)]): Seq[DiscoveredDep] = {
@@ -282,66 +294,70 @@ object Discovery {
     val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
     val attrs = quals.map(_.name)
 
-    // Mine each conditioning slice ONCE and reuse its entries for every
-    // candidate {cond, pat} -> b (the sub-table index dominates the cost).
+    // Mine every conditioning slice in one query and reuse its entries for
+    // every candidate {cond, pat} -> b (Example 8's "mine each slice").
     // The conditioning attribute is the one whose top values are most
     // frequent (Example 8 starts from 'country'); a candidate triple
     // (cond, pat, b) is kept only when the lattice's children produced
     // nothing (restriction iv) and pat has fewer frequent top values than
     // cond would grant it as conditioner.
-    val topByAttr: Map[String, Seq[(String, Long)]] =
-      attrs.map(a => a -> topValues(df, a, params)).toMap
+    val topByAttr = topValues(df, attrs, params)
+    def top(a: String): Seq[(String, Long)] = topByAttr.getOrElse(a, Seq.empty)
+    def topCount(a: String): Long = top(a).headOption.map(_._2).getOrElse(0L)
 
-    attrs.flatMap { cond =>
-      val condVals = topByAttr(cond)
-      val condTop = condVals.headOption.map(_._2).getOrElse(0L)
-      def patTop(a: String): Long = topByAttr(a).headOption.map(_._2).getOrElse(0L)
+    val plans: Seq[(String, Seq[(String, String)])] = attrs.flatMap { cond =>
       val cands = for {
         pat <- attrs; b <- attrs
         if pat != cond && b != cond && b != pat
         if !foundPairs.contains((Set(pat), b)) && !foundPairs.contains((Set(cond), b))
         // each unordered pair is expanded from its better conditioner only
-        if patTop(pat) < condTop || (patTop(pat) == condTop && cond < pat)
+        if topCount(pat) < topCount(cond) || (topCount(pat) == topCount(cond) && cond < pat)
       } yield (pat, b)
       // coverage pruning (§4.2 restriction iv): a level-2 tableau only
       // covers rows inside the conditioning slices, so a conditioner whose
       // frequent values cover less than γ can never yield a dependency.
-      val condCoverage = condVals.map(_._2).sum.toDouble / n
-      if (condVals.isEmpty || cands.isEmpty || condCoverage < params.minCoverage) Seq.empty
-      else {
-        val needed = cands.flatMap(c => Seq(c._1, c._2)).toSet
-        val others = quals.filter(p => needed.contains(p.name))
-        val entriesByVal: Seq[(String, Long, Seq[Entry])] = condVals.map { case (v, cnt) =>
-          val sub = df.filter(col(cond).cast("string") === v)
-          (v, cnt, mineEntries(sub, others, params, cnt, Some(trivial))._1)
+      val condCoverage = top(cond).map(_._2).sum.toDouble / n
+      if (top(cond).isEmpty || cands.isEmpty || condCoverage < params.minCoverage) None
+      else Some(cond -> cands)
+    }
+    if (plans.isEmpty) return Seq.empty
+    // one slice per (conditioner, frequent value)
+    val slices = plans.flatMap { case (cond, cands) =>
+      val needed = cands.flatMap(c => Seq(c._1, c._2)).distinct
+      top(cond).map { case (v, _) => Slice(cond, v, needed) }
+    }
+    val entries = mineEntries(sliceIndex(df, index, slices), params, n, Some(trivial))._1
+    // per conditioner, its (value, entries) slices in top-value order
+    val entriesByVal: Map[String, Seq[(String, Seq[Entry])]] =
+      slices.zipWithIndex.groupMap(_._1.cond) { case (s, i) => (s.value, entries.getOrElse(i, Seq.empty)) }
+
+    plans.flatMap { case (cond, cands) =>
+      cands.flatMap { case (pat, b) =>
+        val rows = entriesByVal(cond).flatMap { case (v, es) =>
+          selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
+            .map(e => (v, e))
         }
-        cands.flatMap { case (pat, b) =>
-          val rows = entriesByVal.flatMap { case (v, _, es) =>
-            selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
-              .map(e => (v, e))
-          }
-          if (rows.isEmpty) None
+        if (rows.isEmpty) None
+        else {
+          val coverage = rows.map(_._2.cntA).sum.toDouble / n
+          if (coverage < params.minCoverage) None
           else {
-            val coverage = rows.map(_._2.cntA).sum.toDouble / n
-            if (coverage < params.minCoverage) None
-            else {
-              val tableau = rows.map { case (v, e) =>
-                PTuple(
-                  Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v)),
-                      pat -> cellFor(tokenized(pat), e.tokA, e.posA, e.fullA)),
-                  Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
-              }
-              val lhs = Seq(cond, pat)
-              val generalized =
-                if (params.generalize)
-                  Generalizer.generalizeMulti(df, cond, pat, b, rows.map(_._2),
-                                              tokenized, params)
-                else None
-              generalized match {
-                case Some(g) => Some(DiscoveredDep(lhs, b, g, isVariable = true, coverage, tableau.size))
-                case None    => Some(DiscoveredDep(lhs, b, PFD(lhs, Seq(b), tableau),
-                                                   isVariable = false, coverage, tableau.size))
-              }
+            val tableau = rows.map { case (v, e) =>
+              PTuple(
+                Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v)),
+                    pat -> cellFor(tokenized(pat), e.tokA, e.posA, e.fullA)),
+                Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
+            }
+            val lhs = Seq(cond, pat)
+            val generalized =
+              if (params.generalize)
+                Generalizer.generalizeMulti(df, cond, pat, b, rows.map(_._2),
+                                            tokenized, params)
+              else None
+            generalized match {
+              case Some(g) => Some(DiscoveredDep(lhs, b, g, isVariable = true, coverage, tableau.size))
+              case None    => Some(DiscoveredDep(lhs, b, PFD(lhs, Seq(b), tableau),
+                                                 isVariable = false, coverage, tableau.size))
             }
           }
         }
@@ -349,13 +365,42 @@ object Discovery {
     }
   }
 
-  private def topValues(df: DataFrame, attr: String, params: Params): Seq[(String, Long)] =
-    df.filter(col(attr).isNotNull)
-      .groupBy(col(attr).cast("string") as "v").count()
+  /** The full-table `index` restricted to `slices`, keyed by slice number:
+    * a row is in slice i when its `cond` equals the slice's value, and is
+    * indexed there on the slice's `attrs` only. A row belongs to one slice
+    * per conditioner whose value it carries.
+    */
+  private[discovery] def sliceIndex(df: DataFrame, index: DataFrame, slices: Seq[Slice]): DataFrame = {
+    val memberOf = array(slices.zipWithIndex.map { case (s, i) =>
+      when(col(s.cond).cast("string") === s.value, lit(i))
+    }: _*)
+    val members = df.select(col(PFDCheck.TidCol) as "tid",
+                            explode(filter(memberOf, _.isNotNull)) as "slice")
+    val attrsOf = typedLit(slices.map(_.attrs))
+    index.filter(col("attr").isin(slices.flatMap(_.attrs).distinct: _*))
+      .join(members, "tid")
+      .filter(array_contains(element_at(attrsOf, col("slice") + 1), col("attr")))
+  }
+
+  /** The `maxConditionValues` most frequent values (count ≥ K) of each of
+    * `attrs`, most frequent first, from one query over all attributes.
+    */
+  private def topValues(df: DataFrame, attrs: Seq[String],
+                        params: Params): Map[String, Seq[(String, Long)]] = {
+    val byCount = Window.partitionBy("attr").orderBy(col("count").desc, col("v").asc)
+    df.select(explode(array(attrs.map(a =>
+        struct(lit(a) as "attr", col(a).cast("string") as "v")): _*)) as "av")
+      .select("av.attr", "av.v")
+      .filter(col("v").isNotNull)
+      .groupBy("attr", "v").count()
       .filter(col("count") >= params.minSupport)
-      .orderBy(col("count").desc, col("v").asc)
-      .limit(params.maxConditionValues)
-      .collect().map(r => (r.getString(0), r.getLong(1))).toSeq
+      .withColumn("__r", row_number().over(byCount))
+      .filter(col("__r") <= params.maxConditionValues)
+      .collect()
+      .map(r => (r.getString(0), r.getInt(3), (r.getString(1), r.getLong(2))))
+      .groupBy(_._1)
+      .map { case (a, vs) => a -> vs.sortBy(_._2).map(_._3).toSeq }
+  }
 
   // ------------------------------------------------------------------
   // Shared variable-PFD validation (used by the Generalizer).

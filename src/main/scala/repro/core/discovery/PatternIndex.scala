@@ -59,32 +59,37 @@ object PatternIndex {
     parts.reduce(_ unionByName _)
   }
 
-  /** Per-pattern statistics after substring pruning.
+  /** Per-pattern statistics after substring pruning and the pattern cap.
     *
-    * Output columns: attr, token, pos, cnt. The tid-set signature used for
-    * pruning is (count, sum(tid), sum(hash(tid))) — identical signatures are
-    * taken as identical tid sets (a 32-bit murmur collision on top of equal
-    * counts and tid sums is negligible and at worst drops one pattern).
+    * Output columns: attr, token, pos, cnt, isFull. When `index` carries a
+    * `slice` column (level-2 conditioning slices), statistics, pruning and
+    * the cap of `maxPatternsPerAttr` are per (slice, attr) and `slice` leads
+    * the output, so each slice reads as if indexed alone. The tid-set
+    * signature used for pruning is (count, sum(tid), sum(hash(tid))) —
+    * identical signatures are taken as identical tid sets (a 32-bit murmur
+    * collision on top of equal counts and tid sums is negligible and at
+    * worst drops one pattern).
     */
   def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame = {
     import org.apache.spark.sql.expressions.Window
+    val keys = index.columns.filter(_ == "slice").toSeq :+ "attr"
     val stats = index
-      .groupBy("attr", "token", "pos")
+      .groupBy((keys ++ Seq("token", "pos")).map(col): _*)
       .agg(
         count(lit(1)) as "cnt",
         sum("tid") as "sigSum",
         sum(hash(col("tid")).cast("long")) as "sigHash",
         // a pattern "is the full value" only if it is on every occurrence
         (min(when(col("full"), 1).otherwise(0)) === 1) as "isFull")
-    val bySig = Window.partitionBy("attr", "cnt", "sigSum", "sigHash")
+    val bySig = Window.partitionBy((keys ++ Seq("cnt", "sigSum", "sigHash")).map(col): _*)
       .orderBy(length(col("token")).desc, col("pos").asc, col("token").asc)
-    val byCnt = Window.partitionBy("attr")
+    val byCnt = Window.partitionBy(keys.map(col): _*)
       .orderBy(col("cnt").desc, length(col("token")).desc, col("token").asc, col("pos").asc)
     stats
       .withColumn("__r", row_number().over(bySig))
       .filter(col("__r") === 1)
       .withColumn("__r2", row_number().over(byCnt))
       .filter(col("__r2") <= maxPatternsPerAttr)
-      .select("attr", "token", "pos", "cnt", "isFull")
+      .select((keys ++ Seq("token", "pos", "cnt", "isFull")).map(col): _*)
   }
 }

@@ -1,5 +1,7 @@
 package repro
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -22,6 +24,32 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   val collidingKeys: Seq[(String, String, String)] =
     Seq(("a\u0001b", "c", "X"), ("a\u0001b", "c", "X"), ("a", "b\u0001c", "Y"))
+
+  /** Number of Spark jobs `body` starts, counted by a listener. The
+    * listener bus is asynchronous, so the count waits for it to go quiet
+    * before and after `body`.
+    */
+  def countJobs(body: => Any): Int = {
+    val jobs = new AtomicInteger()
+    val lastEvent = new AtomicLong(System.nanoTime())
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        jobs.incrementAndGet(); lastEvent.set(System.nanoTime())
+      }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = lastEvent.set(System.nanoTime())
+    }
+    def quiet(): Unit = {
+      val deadline = System.nanoTime() + 30000000000L
+      while (System.nanoTime() - lastEvent.get < 500000000L && System.nanoTime() < deadline)
+        Thread.sleep(50)
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try {
+      quiet(); jobs.set(0); lastEvent.set(System.nanoTime())
+      body
+      quiet(); jobs.get
+    } finally spark.sparkContext.removeSparkListener(listener)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -77,6 +77,29 @@ class ErrorDetectorSpec extends SparkSpec {
       isVariable = true, coverage = 1.0, tableauSize = 1)
     assert(ErrorDetector.detect(df, Seq(dep)).isEmpty)
   }
+  test("detection runs as many Spark jobs for three variable PFDs as for one") {
+    import spark.implicits._
+    val df = Seq(("Susan A", "Egypt", "F"), ("Susan B", "Egypt", "F"), ("Susan C", "Egypt", "M"),
+                 ("John D", "Yemen", "M"), ("John E", "Yemen", "M"), ("John F", "Yemen", "F"))
+      .toDF("name", "country", "gender")
+    def wildcardDep(lhs: Seq[String], rhs: String): DiscoveredDep = DiscoveredDep(lhs, rhs,
+      PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> (Wildcard: Cell)).toMap, Map(rhs -> Wildcard)))),
+      isVariable = true, coverage = 1.0, tableauSize = 1)
+    val three = Seq(varDep, wildcardDep(Seq("country"), "gender"),
+                    wildcardDep(Seq("country", "gender"), "name"))
+    val one = countJobs(ErrorDetector.detect(df, Seq(varDep)).collect())
+    assert(countJobs(ErrorDetector.detect(df, three).collect()) == one)
+  }
+  test("discovery then detection on an uncached input leave nothing cached") {
+    import spark.implicits._
+    spark.catalog.clearCache()
+    val df = ((0 until 30).map(i => (s"John A$i", "M")) ++ (0 until 30).map(i => (s"Susan B$i", "F")))
+      .toDF("name", "gender")
+    val deps = repro.core.discovery.Discovery.discover(df).deps
+    assert(deps.nonEmpty)
+    ErrorDetector.detect(df, deps).collect()
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
   test("empty dependency list flags nothing") {
     import spark.implicits._
     val df = Seq(("a", "b")).toDF("name", "gender")

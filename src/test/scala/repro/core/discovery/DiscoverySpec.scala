@@ -1,7 +1,9 @@
 package repro.core.discovery
 
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
+import repro.data.DirtyData
 
 /** The discovery algorithm of Fig. 4 end-to-end, on the paper's Example 8
   * (Table 6) and on constructed zip/phone/date tables.
@@ -167,6 +169,64 @@ class DiscoverySpec extends SparkSpec {
     val (matched, violations) = Discovery.validateVariable(df,
       Map("first" -> Wildcard, "second" -> Wildcard), "rhs", Wildcard)
     assert(matched == 3 && violations == 0)
+  }
+
+  // ------------------------------------------------------------------
+  // One mining query for all attributes and conditioning slices.
+  // ------------------------------------------------------------------
+
+  private lazy val t7 = DirtyData.table(spark, 7).df.cache()
+
+  test("one mining call over 9 slices of T7 equals mining each slice alone") {
+    // the cap binds for some (slice, attr) pairs and not for others
+    val params = Params(maxPatternsPerAttr = 5)
+    val quals = Profiler.profile(t7).filter(_.isQualitative)
+    val index = PatternIndex.build(t7, quals)
+    val n = t7.count()
+    val trivial = Discovery.mineEntries(index.withColumn("slice", lit(0)), params, n, None)._2
+    assert(trivial.nonEmpty) // the constant "A-" id prefix
+    // 3 conditioners × 3 values, each slice mined on the other attributes
+    val slices = for {
+      cond <- Seq("assay_type", "organism", "year")
+      v <- t7.groupBy(cond).count().orderBy(desc("count"), asc(cond)).limit(3)
+             .collect().map(_.getString(0)).toSeq
+    } yield Discovery.Slice(cond, v, quals.map(_.name).filter(_ != cond))
+    val sliced = Discovery.sliceIndex(t7, index, slices)
+    val patterns = PatternIndex.prunedStats(sliced, Int.MaxValue).groupBy("slice", "attr").count()
+      .collect().map(_.getLong(2))
+    assert(patterns.exists(_ > params.maxPatternsPerAttr) &&
+           patterns.exists(_ <= params.maxPatternsPerAttr))
+
+    val together = Discovery.mineEntries(sliced, params, n, Some(trivial))._1
+    // single-slice calls are independent: run them concurrently
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val alone = Await.result(Future.traverse(slices) { s =>
+      Future {
+        val rows = t7.filter(col(s.cond) === s.value)
+        Discovery.mineEntries(
+          PatternIndex.build(rows, quals.filter(q => s.attrs.contains(q.name)))
+            .withColumn("slice", lit(0)),
+          params, n, Some(trivial))._1.getOrElse(0, Seq.empty)
+      }
+    }, 10.minutes)
+    slices.zip(alone).zipWithIndex.foreach { case ((s, es), i) =>
+      assert(es.nonEmpty, s"slice ${s.cond}=${s.value}")
+      assert(together.getOrElse(i, Seq.empty).toSet == es.toSet, s"slice ${s.cond}=${s.value}")
+    }
+  }
+
+  test("discovery runs as many Spark jobs as with two more qualitative columns") {
+    // city makes level 1 find country → city; both tables mine level 2
+    val base = table6.withColumn("city",
+      when(col("country") === "Egypt", "Cairo").otherwise("Sanaa"))
+    val wider = base
+      .withColumn("initial", substring(col("name"), 1, 1))
+      .withColumn("region", concat(col("city"), lit(" region")))
+    val params = ex8params.copy(generalize = false)
+    val jobs = countJobs(Discovery.discover(base, params))
+    assert(countJobs(Discovery.discover(wider, params)) == jobs)
   }
 
   // ------------------------------------------------------------------
