@@ -40,7 +40,7 @@ object ErrorDetector {
   /** The columns `deps` read, as one string array column, and each
     * column's position in it.
     */
-  private def values(deps: Seq[DiscoveredDep]) = {
+  private def inputs(deps: Seq[DiscoveredDep]) = {
     val attrs = deps.flatMap(d => d.pfd.lhs :+ d.pfd.rhs.head).distinct
     (array(attrs.map(a => col(a).cast("string")): _*), attrs.zipWithIndex.toMap)
   }
@@ -49,7 +49,7 @@ object ErrorDetector {
     * (attr, value, dep) triples a row violates, exploded into rows.
     */
   private def flagConstant(df: DataFrame, deps: Seq[DiscoveredDep]): DataFrame = {
-    val (vals, at) = values(deps)
+    val (vals, at) = inputs(deps)
     // per dependency: RHS attribute and position, rendering, and per tableau
     // row the (position, cell) LHS checks plus the RHS cell
     val checks = deps.map { d =>
@@ -75,7 +75,7 @@ object ErrorDetector {
     * (dependency, LHS key) find each group's majority RHS key.
     */
   private def flagVariable(df: DataFrame, deps: Seq[DiscoveredDep]): DataFrame = {
-    val (vals, at) = values(deps)
+    val (vals, at) = inputs(deps)
     val keyers = deps.map { d =>
       val tp = d.pfd.tableau.head
       val b = d.pfd.rhs.head

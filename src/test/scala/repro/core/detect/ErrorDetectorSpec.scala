@@ -3,7 +3,7 @@ package repro.core.detect
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
-import repro.core.discovery.DiscoveredDep
+import repro.core.discovery.{DiscoveredDep, Discovery}
 
 class ErrorDetectorSpec extends SparkSpec {
 
@@ -24,6 +24,11 @@ class ErrorDetectorSpec extends SparkSpec {
     PFD(Seq("name"), Seq("gender"), Seq(PTuple(
       Map("name" -> Cell(ConstrainedPattern(Pattern.Empty, p("\\LU\\LL*"), p("\\ \\A*")))),
       Map("gender" -> Wildcard)))),
+    isVariable = true, coverage = 1.0, tableauSize = 1)
+
+  /** A variable PFD with wildcard cells: LHS-equal tuples agree on `rhs`. */
+  private def wildcardDep(lhs: Seq[String], rhs: String): DiscoveredDep = DiscoveredDep(lhs, rhs,
+    PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> (Wildcard: Cell)).toMap, Map(rhs -> Wildcard)))),
     isVariable = true, coverage = 1.0, tableauSize = 1)
 
   test("constant PFDs flag single-tuple violations with the tid and attr") {
@@ -71,20 +76,13 @@ class ErrorDetectorSpec extends SparkSpec {
   test("multi-attribute LHS keys do not collide: (a␁b, c) and (a, b␁c) are two groups") {
     import spark.implicits._
     val df = collidingKeys.toDF("first", "second", "rhs")
-    val dep = DiscoveredDep(Seq("first", "second"), "rhs",
-      PFD(Seq("first", "second"), Seq("rhs"), Seq(
-        PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard)))),
-      isVariable = true, coverage = 1.0, tableauSize = 1)
-    assert(ErrorDetector.detect(df, Seq(dep)).isEmpty)
+    assert(ErrorDetector.detect(df, Seq(wildcardDep(Seq("first", "second"), "rhs"))).isEmpty)
   }
   test("detection runs as many Spark jobs for three variable PFDs as for one") {
     import spark.implicits._
     val df = Seq(("Susan A", "Egypt", "F"), ("Susan B", "Egypt", "F"), ("Susan C", "Egypt", "M"),
                  ("John D", "Yemen", "M"), ("John E", "Yemen", "M"), ("John F", "Yemen", "F"))
       .toDF("name", "country", "gender")
-    def wildcardDep(lhs: Seq[String], rhs: String): DiscoveredDep = DiscoveredDep(lhs, rhs,
-      PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> (Wildcard: Cell)).toMap, Map(rhs -> Wildcard)))),
-      isVariable = true, coverage = 1.0, tableauSize = 1)
     val three = Seq(varDep, wildcardDep(Seq("country"), "gender"),
                     wildcardDep(Seq("country", "gender"), "name"))
     val one = countJobs(ErrorDetector.detect(df, Seq(varDep)).collect())
@@ -95,7 +93,7 @@ class ErrorDetectorSpec extends SparkSpec {
     spark.catalog.clearCache()
     val df = ((0 until 30).map(i => (s"John A$i", "M")) ++ (0 until 30).map(i => (s"Susan B$i", "F")))
       .toDF("name", "gender")
-    val deps = repro.core.discovery.Discovery.discover(df).deps
+    val deps = Discovery.discover(df).deps
     assert(deps.nonEmpty)
     ErrorDetector.detect(df, deps).collect()
     assert(spark.sharedState.cacheManager.isEmpty)

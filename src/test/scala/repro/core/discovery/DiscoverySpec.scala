@@ -175,9 +175,8 @@ class DiscoverySpec extends SparkSpec {
   // One mining query for all attributes and conditioning slices.
   // ------------------------------------------------------------------
 
-  private lazy val t7 = DirtyData.table(spark, 7).df.cache()
-
   test("one mining call over 9 slices of T7 equals mining each slice alone") {
+    val t7 = DirtyData.table(spark, 7).df
     // the cap binds for some (slice, attr) pairs and not for others
     val params = Params(maxPatternsPerAttr = 5)
     val quals = Profiler.profile(t7).filter(_.isQualitative)
