@@ -123,6 +123,21 @@ class PFDSpec extends SparkSpec {
     assert(PFDCheck.satisfies(d, pfd))
     assert(PFDCheck.violations(d, pfd).isEmpty)
   }
+  test("rows failing the RHS cell never form a group's majority") {
+    import spark.implicits._
+    // the two null genders fail ψ2's RHS; F is the only key, but 1 of 3 is
+    // no strict majority, so nothing is safely repairable
+    val d = Seq(("Susan A", null), ("Susan B", null), ("Susan C", "F")).toDF("name", "gender")
+    assert(PFDCheck.violations(d, psi2).isEmpty)
+  }
+  test("violations and satisfies on an uncached input leave nothing cached") {
+    spark.catalog.clearCache()
+    PFDCheck.violations(d1, psi1).collect()
+    PFDCheck.violations(d1, psi2).collect()
+    PFDCheck.satisfies(d1clean, psi1)
+    PFDCheck.satisfies(d1clean, psi2)
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
   test("withTid is idempotent") {
     val once = PFDCheck.withTid(d1)
     assert(PFDCheck.withTid(once).columns.count(_ == PFDCheck.TidCol) == 1)

@@ -228,6 +228,15 @@ class DiscoverySpec extends SparkSpec {
     assert(countJobs(Discovery.discover(wider, params)) == jobs)
   }
 
+  test("a cached input that carries __tid stays cached after discovery") {
+    val df = table6.withColumn(PFDCheck.TidCol, monotonically_increasing_id()).cache()
+    try {
+      df.count()
+      Discovery.discover(df, ex8params.copy(generalize = false))
+      assert(df.storageLevel != org.apache.spark.storage.StorageLevel.NONE)
+    } finally df.unpersist()
+  }
+
   // ------------------------------------------------------------------
   // Tableau selection internals.
   // ------------------------------------------------------------------
