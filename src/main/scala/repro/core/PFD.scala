@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** A tableau cell: the wildcard `⊥` or a disjunction of constrained patterns.
@@ -69,33 +70,24 @@ final case class PTuple(lhsCells: Map[String, Cell], rhsCells: Map[String, Cell]
 final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
   require(lhs.nonEmpty && rhs.nonEmpty, "PFD needs LHS and RHS attributes")
 
-  /** Trivial PFDs (A ∈ X appearing on the RHS with the identical cell) are
-    * ignored by discovery; kept here only for inference tests.
-    */
-  def embeddedDep: (Seq[String], Seq[String]) = (lhs, rhs)
-
   def render: String =
     s"(${lhs.mkString(",")} → ${rhs.mkString(",")}, {${tableau.map(_.render).mkString("; ")}})"
 
   override def toString: String = render
 }
 
-object PFD {
-  /** Normal form constructor: single RHS attribute. */
-  def normal(lhs: Seq[String], rhs: String, tableau: Seq[PTuple]): PFD =
-    PFD(lhs, Seq(rhs), tableau)
-}
-
-/** DataFrame-based satisfaction and violation checking (§2.2).
+/** PFD evaluation on DataFrames (§2.2), as one kernel of two queries over
+  * any list of PFDs; it caches nothing and every result is lazy.
   *
-  * Semantics per tableau tuple t_p:
-  *  - a data tuple *participates* if it matches every LHS cell;
-  *  - participating tuples are grouped by their LHS equivalence keys;
-  *  - within a group, every tuple must match every RHS cell and all tuples
-  *    must share the same RHS keys;
-  *  - additionally, when the row is constant (literal RHS), a single
-  *    participating tuple already violates if its RHS does not match
-  *    (single-tuple semantics, Example 6).
+  * Semantics per tableau row t_p: a tuple *participates* if it matches every
+  * LHS cell. A constant row (literal RHS) is violated by a single
+  * participating tuple whose RHS fails the row's cell (single-tuple
+  * semantics, Example 6) — `singleTuple` finds these in one scan. Pair
+  * semantics group the participating tuples by their LHS equivalence keys;
+  * `majority` annotates each tuple with its RHS key, its group's size and
+  * the group's majority RHS key, taken among the tuples that match the RHS
+  * cell. Satisfaction, repair flags (`violations`, `ErrorDetector`) and the
+  * generalization check (`validation`) are selections over these two.
   */
 object PFDCheck {
 
@@ -106,112 +98,118 @@ object PFDCheck {
     if (df.columns.contains(TidCol)) df
     else df.withColumn(TidCol, monotonically_increasing_id())
 
-  private def matchCol(cell: Cell, attr: String): Column = {
-    val c = cell
-    udf((s: String) => s != null && c.matches(s)).apply(col(attr))
-  }
-
-  private def keyCol(cell: Cell, attr: String): Column = {
-    val c = cell
-    udf((s: String) => if (s == null) None else c.key(s)).apply(col(attr))
-  }
-
-  /** Tuples violating tableau row `tp` of `pfd`, as (tid, attr) pairs over
-    * the RHS attributes, plus a repair suggestion when the RHS is constant.
-    * Output columns: __tid, attr, value, suggestion (nullable).
+  /** The columns `pfds` read as one string array column, and per tableau
+    * row that `rows` selects its (PFD index, row index), its LHS checks
+    * (position, cell) and its RHS checks (attribute, position, cell).
     */
-  def rowViolations(df0: DataFrame, pfd: PFD, tp: PTuple): DataFrame = {
-    val spark = df0.sparkSession
-    import spark.implicits._
-    val df = withTid(df0)
-
-    // Participation + LHS key.
-    var d = df
-    pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
-    d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
-    pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-    d = d.withColumn("__lkey", array(pfd.lhs.map(a => col(s"__k_$a")): _*))
-
-    // RHS match flags + keys.
-    pfd.rhs.foreach { b =>
-      d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
-           .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
-    }
-    d = d.cache()
-
-    val isConstant = tp.isConstantRow
-    val out = pfd.rhs.map { b =>
-      val suggestion: Option[String] = tp.rhsCells(b) match {
-        case Pats(List(cp)) if cp.isConstant && cp.constrainsWhole =>
-          cp.constrained.literalValue
-        case _ => None
-      }
-      if (isConstant) {
-        // Single-tuple semantics: participating tuples must match the RHS.
-        d.filter(!col(s"__rm_$b"))
-          .select(col(TidCol), lit(b) as "attr", col(b) as "value",
-                  lit(suggestion.orNull) as "suggestion")
-      } else {
-        // Pair semantics: within a group of ≥2 with an agreeing majority,
-        // tuples failing the match or deviating from the majority key violate.
-        val grouped = d.groupBy(col("__lkey"), col(s"__rk_$b"))
-          .agg(count(lit(1)) as "__cnt")
-        val w = org.apache.spark.sql.expressions.Window.partitionBy("__lkey")
-        val majority = grouped
-          .withColumn("__total", sum("__cnt").over(w))
-          .withColumn("__rank", row_number().over(
-            w.orderBy(col("__cnt").desc, col(s"__rk_$b").asc_nulls_last)))
-          .filter(col("__rank") === 1 && col("__total") > 1)
-          .select(col("__lkey"), col(s"__rk_$b") as "__majkey", col("__cnt") as "__majcnt",
-                  col("__total"))
-        d.join(majority, "__lkey")
-          .filter(!col(s"__rm_$b") ||
-                  col(s"__rk_$b").isNull ||
-                  col(s"__rk_$b") =!= col("__majkey"))
-          // a 50/50 split has no majority witness: flag only strict minorities
-          .filter(col("__majcnt") * 2 > col("__total"))
-          .select(col(TidCol), lit(b) as "attr", col(b) as "value",
-                  lit(null: String) as "suggestion")
-      }
-    }
-    out.reduce(_ unionByName _).distinct()
+  private def compile(pfds: Seq[PFD], rows: PTuple => Boolean) = {
+    val attrs = pfds.flatMap(p => p.lhs ++ p.rhs).distinct
+    val at = attrs.zipWithIndex.toMap
+    val checks = for {
+      (pfd, i) <- pfds.zipWithIndex
+      (tp, r) <- pfd.tableau.zipWithIndex if rows(tp)
+    } yield (i, r, pfd.lhs.map(a => (at(a), tp.lhsCells(a))),
+             pfd.rhs.map(b => (b, at(b), tp.rhsCells(b))))
+    (array(attrs.map(a => col(a).cast("string")): _*), checks)
   }
 
-  /** All violations of `pfd` over `df` (union across tableau rows). */
-  def violations(df: DataFrame, pfd: PFD): DataFrame =
-    pfd.tableau.map(tp => rowViolations(df, pfd, tp)).reduce(_ unionByName _).distinct()
-
-  /** T ⊨ ψ — strict satisfaction: no tuple pair (or single tuple, for
-    * constant rows) violates any tableau row. Note: unlike `violations`,
-    * which flags only minority tuples for *repair*, satisfaction fails on
-    * any disagreement within an LHS group.
+  /** Single-tuple violations of the constant rows of `pfds`, in one scan: a
+    * UDF returns each (PFD `pfd`, row `row`, RHS attribute `attr`) a tuple
+    * violates, exploded into rows. Columns: __tid, pfd, row, attr, value.
     */
-  def satisfies(df0: DataFrame, pfd: PFD): Boolean = {
-    val df = withTid(df0)
-    pfd.tableau.forall { tp =>
-      var d = df
-      pfd.lhs.foreach { a => d = d.withColumn(s"__m_$a", matchCol(tp.lhsCells(a), a)) }
-      d = d.filter(pfd.lhs.map(a => col(s"__m_$a")).reduce(_ && _))
-      pfd.lhs.foreach { a => d = d.withColumn(s"__k_$a", keyCol(tp.lhsCells(a), a)) }
-      d = d.withColumn("__lkey", array(pfd.lhs.map(a => col(s"__k_$a")): _*))
-      pfd.rhs.foreach { b =>
-        d = d.withColumn(s"__rm_$b", matchCol(tp.rhsCells(b), b))
-             .withColumn(s"__rk_$b", keyCol(tp.rhsCells(b), b))
-      }
-      d = d.cache()
-      val constantOk =
-        if (tp.isConstantRow)
-          pfd.rhs.forall(b => d.filter(!col(s"__rm_$b")).isEmpty)
-        else true
-      val pairOk = pfd.rhs.forall { b =>
-        d.groupBy("__lkey")
-          .agg(countDistinct(col(s"__rk_$b")) as "nk",
-               max(when(col(s"__rm_$b"), 0).otherwise(1)) as "anyFail",
-               count(lit(1)) as "n")
-          .filter((col("n") > 1) && (col("nk") > 1 || col("anyFail") === 1))
-          .isEmpty
-      }
-      constantOk && pairOk
+  def singleTuple(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
+    val (vals, checks) = compile(pfds, _.isConstantRow)
+    val violated = udf { (vs: Seq[String]) =>
+      for {
+        (i, r, lhs, rhs) <- checks
+        if lhs.forall { case (j, c) => vs(j) != null && c.matches(vs(j)) }
+        (b, bi, c) <- rhs if !(vs(bi) != null && c.matches(vs(bi)))
+      } yield (i, r, b, vs(bi))
     }
+    withTid(df).where(lit(checks.nonEmpty))
+      .select(col(TidCol), explode(violated(vals)) as "v")
+      .select(col(TidCol), col("v._1") as "pfd", col("v._2") as "row", col("v._3") as "attr",
+              col("v._4") as "value")
   }
+
+  /** Pair semantics for the tableau rows of `pfds` that `rows` selects, in
+    * one majority query. A UDF keys each participating tuple once per
+    * (PFD `pfd`, row `row`, RHS attribute `attr`) by its LHS key array
+    * `lkey`, with its RHS key `rk` (null when the RHS cell fails) and
+    * `value`; windows over (pfd, row, attr, lkey) add the count `c` of the
+    * tuple's RHS key in its group, the group size `tot`, and the group's
+    * majority key `majk` with its count `majc`. The majority is taken among
+    * non-null keys, so `majk` is null only when every tuple fails the RHS.
+    */
+  def majority(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
+    val (vals, checks) = compile(pfds, rows)
+    val keyed = udf { (vs: Seq[String]) =>
+      checks.flatMap { case (i, r, lhs, rhs) =>
+        val lkey = lhs.map { case (j, c) => Option(vs(j)).flatMap(c.key) }
+        if (lkey.exists(_.isEmpty)) Nil
+        else rhs.map { case (b, bi, c) =>
+          (i, r, b, lkey.flatten, Option(vs(bi)).flatMap(c.key).orNull, vs(bi))
+        }
+      }
+    }
+    val group = Window.partitionBy("pfd", "row", "attr", "lkey")
+    val majorityFirst = group.orderBy(col("rk").isNull.asc, col("c").desc, col("rk").asc)
+    withTid(df).where(lit(checks.nonEmpty))
+      .select(col(TidCol), explode(keyed(vals)) as "k")
+      .select(col(TidCol), col("k._1") as "pfd", col("k._2") as "row", col("k._3") as "attr",
+              col("k._4") as "lkey", col("k._5") as "rk", col("k._6") as "value")
+      // one shuffle serves every window below: all partition by (pfd, row, attr, lkey, …)
+      .repartition(col("pfd"), col("row"), col("attr"), col("lkey"))
+      .withColumn("c", count(lit(1)).over(Window.partitionBy("pfd", "row", "attr", "lkey", "rk")))
+      .withColumn("tot", count(lit(1)).over(group))
+      .withColumn("majk", first("rk").over(majorityFirst))
+      .withColumn("majc", first("c").over(majorityFirst))
+  }
+
+  /** Over `majority`'s output: the tuple deviates from a strict majority of
+    * a group of two or more. A 50/50 split has no majority witness, so it
+    * flags nothing for repair.
+    */
+  val strictMinority: Column =
+    col("tot") > 1 && col("majc") * 2 > col("tot") && (col("rk").isNull || col("rk") =!= col("majk"))
+
+  /** Repair candidates of `pfd` over `df`: single-tuple violations of its
+    * constant rows, with the RHS literal as suggestion when it is the whole
+    * value, and strict minorities of its other rows' groups. Output columns:
+    * __tid, attr, value, suggestion (nullable).
+    */
+  def violations(df: DataFrame, pfd: PFD): DataFrame = {
+    val suggest = udf { (r: Int, b: String) =>
+      pfd.tableau(r).rhsCells(b) match {
+        case Pats(List(cp)) if cp.constrainsWhole => cp.constrained.literalValue
+        case _                                    => None
+      }
+    }
+    singleTuple(df, Seq(pfd))
+      .select(col(TidCol), col("attr"), col("value"), suggest(col("row"), col("attr")) as "suggestion")
+      .unionByName(majority(df, Seq(pfd), !_.isConstantRow).filter(strictMinority)
+        .select(col(TidCol), col("attr"), col("value"), lit(null: String) as "suggestion"))
+      .distinct()
+  }
+
+  /** T ⊨ ψ — strict satisfaction: no single tuple violates a constant row,
+    * and in no LHS group of two or more tuples under any row does a tuple
+    * fail the RHS or disagree with another. Unlike `violations`, which
+    * flags only minority tuples for repair, satisfaction fails on any
+    * disagreement within an LHS group.
+    */
+  def satisfies(df: DataFrame, pfd: PFD): Boolean =
+    singleTuple(df, Seq(pfd)).isEmpty &&
+      majority(df, Seq(pfd), _ => true)
+        .filter(col("tot") > 1 && (col("rk").isNull || col("c") < col("tot"))).isEmpty
+
+  /** One row (matched, violations) for a candidate PFD: the tuples that
+    * participate in a tableau row, and those off their group's majority RHS
+    * key — failing the RHS cell, on the minority side, or on either side of
+    * a tie. Lazy: the caller runs the action.
+    */
+  def validation(df: DataFrame, pfd: PFD): DataFrame =
+    majority(df, Seq(pfd), _ => true)
+      .agg(count(lit(1)) as "matched",
+           count(when(col("rk").isNull || col("rk") =!= col("majk"), 1)) as "violations")
 }

@@ -140,14 +140,15 @@ object Generalizer {
   }
 
   /** Apply the candidate variable row on the whole table; accept iff matched
-    * rows exist and the disagreement ratio is at most δ.
+    * rows exist and the disagreement ratio is at most δ. The check's Spark
+    * action runs here, so traces charge it to generalization.
     */
   private def validate(df: DataFrame, lhsCells: Map[String, Cell], b: String,
                        rhsCell: Cell, lhsAttrs: Seq[String],
                        params: Params): Option[PFD] = {
-    val (matched, violations) = Discovery.validateVariable(df, lhsCells, b, rhsCell)
-    if (matched > 0 && violations <= params.noise * matched)
-      Some(PFD(lhsAttrs, Seq(b), Seq(PTuple(lhsCells, Map(b -> rhsCell)))))
-    else None
+    val pfd = PFD(lhsAttrs, Seq(b), Seq(PTuple(lhsCells, Map(b -> rhsCell))))
+    val counts = PFDCheck.validation(df, pfd).head()
+    val (matched, violations) = (counts.getLong(0), counts.getLong(1))
+    Option.when(matched > 0 && violations <= params.noise * matched)(pfd)
   }
 }

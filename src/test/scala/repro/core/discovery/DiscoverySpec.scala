@@ -166,8 +166,10 @@ class DiscoverySpec extends SparkSpec {
   test("variable validation: multi-attribute LHS keys do not collide: (a␁b, c) and (a, b␁c)") {
     val df = PFDCheck.withTid(
       collidingKeys.toDF("first", "second", "rhs"))
-    val (matched, violations) = Discovery.validateVariable(df,
-      Map("first" -> Wildcard, "second" -> Wildcard), "rhs", Wildcard)
+    val pfd = PFD(Seq("first", "second"), Seq("rhs"), Seq(
+      PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard))))
+    val counts = PFDCheck.validation(df, pfd).head()
+    val (matched, violations) = (counts.getLong(0), counts.getLong(1))
     assert(matched == 3 && violations == 0)
   }
 
