@@ -54,9 +54,6 @@ object DirtyData {
     b(spark, n, rnd)
   }
 
-  def all(spark: SparkSession, scale: Double = 1.0, seed: Long = 0): Seq[GeneratedTable] =
-    (1 to 15).map(table(spark, _, scale, seed))
-
   // ------------------------------------------------------------------
   // Shared generator helpers.
   // ------------------------------------------------------------------
