@@ -47,8 +47,8 @@ object PatternIndex {
           // also bounds C2 linearly instead of quadratically.
           udf { (s: String) =>
             if (s == null) Seq.empty[(String, Int, Boolean)]
-            else Tokenizer.ngrams(s).filter(t => informative(t.token) && t.pos == 0)
-              .map(t => (t.token, t.pos, t.pos == 0 && t.atEnd)).distinct
+            else Tokenizer.prefixes(s).filter(t => informative(t.token))
+              .map(t => (t.token, t.pos, t.atEnd))
           }
       df.select(
           col(PFDCheck.TidCol) as "tid",

@@ -13,7 +13,7 @@ import org.apache.spark.sql.types.StringType
   *                       value lengths) are kept per the §5.4 heuristic.
   * @param useTokenize    true ⇒ extract patterns with `Tokenizer.tokens`
   *                       (values carry separator signals, restriction (i));
-  *                       false ⇒ `Tokenizer.ngrams`.
+  *                       false ⇒ `Tokenizer.prefixes`.
   */
 final case class ColumnProfile(
     name: String,

@@ -3,15 +3,13 @@ package repro.core.discovery
 /** Partial-value extraction (restriction (i) of §4.2).
   *
   * `tokens` splits on special characters — strong signals for meaningful
-  * substrings (F-9-107, "John Charles"). `ngrams` emits all substrings with
-  * their character offsets for code-like columns, capped so the quadratic
-  * blow-up (challenge C2) stays bounded; substring pruning in the index
-  * collapses most of them anyway (§4.4).
+  * substrings (F-9-107, "John Charles"). `prefixes` emits the leading
+  * n-grams of code-like columns, capped in length.
   */
 object Tokenizer {
 
   /** A mined partial value: the substring, its position (token index for
-    * `tokens`, character offset for `ngrams`), and whether anything follows
+    * `tokens`, character offset for `prefixes`), and whether anything follows
     * it in the original value (token boundary information used when the
     * pattern is turned into a constrained pattern).
     */
@@ -39,23 +37,14 @@ object Tokenizer {
     out.result()
   }
 
-  /** All substrings of `s` with character offsets, up to `maxValueLen`
-    * characters of the value; longer values contribute prefixes, suffixes
-    * and the full value only (keeps C2 bounded for free-text-ish codes).
+  /** The prefixes of `s` (offset 0) of length 1 to `maxPrefixLen`, plus the
+    * whole value when it is longer; `atEnd` marks the whole value. Linear in
+    * the value's length, which bounds challenge C2.
     */
-  def ngrams(s: String, maxValueLen: Int = 12): Seq[Part] = {
+  def prefixes(s: String, maxPrefixLen: Int = 12): Seq[Part] = {
     if (s == null || s.isEmpty) return Seq.empty
     val n = s.length
-    if (n <= maxValueLen) {
-      for {
-        start <- 0 until n
-        end   <- (start + 1) to n
-      } yield Part(s.substring(start, end), start, atEnd = end == n)
-    } else {
-      val prefixes = (1 to maxValueLen).map(l => Part(s.substring(0, l), 0, atEnd = false))
-      val suffixes = (1 until maxValueLen)
-        .map(l => Part(s.substring(n - l), n - l, atEnd = true))
-      (prefixes ++ suffixes :+ Part(s, 0, atEnd = true)).distinct
-    }
+    val ps = (1 to math.min(n, maxPrefixLen)).map(l => Part(s.substring(0, l), 0, atEnd = l == n))
+    if (n > maxPrefixLen) ps :+ Part(s, 0, atEnd = true) else ps
   }
 }

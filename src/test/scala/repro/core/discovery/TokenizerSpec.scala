@@ -29,34 +29,30 @@ class TokenizerSpec extends AnyFunSuite with PropHelper {
     assert(!ts.head.atEnd && ts.last.atEnd)
     assert(!tokens("John Smith ").last.atEnd)
   }
-  test("ngrams enumerate all substrings with offsets for short values") {
-    val gs = ngrams("abc")
-    assert(gs.toSet == Set(Part("a", 0, false), Part("ab", 0, false), Part("abc", 0, true),
-      Part("b", 1, false), Part("bc", 1, true), Part("c", 2, true)))
+  test("prefixes of a short value, atEnd on the whole value") {
+    assert(prefixes("abc") == Seq(Part("a", 0, false), Part("ab", 0, false), Part("abc", 0, true)))
   }
   private val shortStr: Gen[String] =
     Gen.choose(1, 12).flatMap(k => Gen.listOfN(k, Gen.alphaNumChar)).map(_.mkString)
 
-  test("ngram count is n(n+1)/2 for short values (challenge C2)") {
+  test("prefix count is n for short values (challenge C2)") {
     checkProp(Prop.forAll(shortStr) { s =>
-      ngrams(s).size == s.length * (s.length + 1) / 2
+      prefixes(s).map(_.token.length) == (1 to s.length)
     }, 40)
   }
   test("every ngram occurs at its claimed offset") {
     checkProp(Prop.forAll(shortStr) { s =>
-      ngrams(s).forall(g => s.regionMatches(g.pos, g.token, 0, g.token.length))
+      prefixes(s).forall(g => g.pos == 0 && s.regionMatches(g.pos, g.token, 0, g.token.length) &&
+                              g.atEnd == (g.token == s))
     }, 40)
   }
-  test("long values degrade to prefixes, suffixes and the full value") {
-    val s = "12345678901234567890" // 20 chars > maxValueLen
-    val gs = ngrams(s)
-    assert(gs.exists(g => g.token == s && g.pos == 0))
-    assert(gs.exists(g => g.token == "123" && g.pos == 0))
-    assert(gs.exists(g => g.pos > 0 && g.atEnd))
-    assert(gs.size < s.length * (s.length + 1) / 2)
+  test("long values degrade to capped prefixes and the full value") {
+    val s = "12345678901234567890" // 20 chars > maxPrefixLen
+    assert(prefixes(s) ==
+      (1 to 12).map(l => Part(s.take(l), 0, atEnd = false)) :+ Part(s, 0, atEnd = true))
   }
   test("zip prefixes appear among ngrams (λ3's 900)") {
-    assert(ngrams("90001").contains(Part("900", 0, false)))
+    assert(prefixes("90001").contains(Part("900", 0, false)))
   }
   test("token positions are consecutive from zero") {
     checkProp(Prop.forAll(Gen.listOfN(4, Gen.alphaStr.suchThat(_.nonEmpty))) { ws =>
