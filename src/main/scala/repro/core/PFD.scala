@@ -77,7 +77,8 @@ final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
 }
 
 /** PFD evaluation on DataFrames (§2.2), as one kernel of two queries over
-  * any list of PFDs; it caches nothing and every result is lazy.
+  * any list of PFDs. It caches nothing, and every DataFrame it returns is
+  * lazy.
   *
   * Semantics per tableau row t_p: a tuple *participates* if it matches every
   * LHS cell. A constant row (literal RHS) is violated by a single
@@ -86,8 +87,9 @@ final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
   * semantics group the participating tuples by their LHS equivalence keys;
   * `majority` annotates each tuple with its RHS key, its group's size and
   * the group's majority RHS key, taken among the tuples that match the RHS
-  * cell. Satisfaction, repair flags (`violations`, `ErrorDetector`) and the
-  * generalization check (`validation`) are selections over these two.
+  * cell. Satisfaction, repair candidates (`flagged`, for `violations` and
+  * `ErrorDetector`) and the generalization check (`validation`) are
+  * selections over these two.
   */
 object PFDCheck {
 
@@ -100,7 +102,9 @@ object PFDCheck {
 
   /** The columns `pfds` read as one string array column, and per tableau
     * row that `rows` selects its (PFD index, row index), its LHS checks
-    * (position, cell) and its RHS checks (attribute, position, cell).
+    * (position, cell) and its RHS checks (attribute, position, cell). Both
+    * queries filter their input on `checks.nonEmpty`: with no row to check,
+    * the optimizer plans no scan.
     */
   private def compile(pfds: Seq[PFD], rows: PTuple => Boolean) = {
     val attrs = pfds.flatMap(p => p.lhs ++ p.rhs).distinct
@@ -166,17 +170,22 @@ object PFDCheck {
       .withColumn("majc", first("c").over(majorityFirst))
   }
 
-  /** Over `majority`'s output: the tuple deviates from a strict majority of
-    * a group of two or more. A 50/50 split has no majority witness, so it
-    * flags nothing for repair.
+  /** Repair candidates of `pfds` (§5.3): single-tuple violations of the
+    * constant rows, and for the other rows each tuple off the strict-majority
+    * RHS key of its LHS group of two or more. A 50/50 split has no majority
+    * witness, so it flags nothing. Columns: __tid, pfd, row, attr, value,
+    * pair (whether pair semantics flagged the cell).
     */
-  val strictMinority: Column =
-    col("tot") > 1 && col("majc") * 2 > col("tot") && (col("rk").isNull || col("rk") =!= col("majk"))
+  def flagged(df: DataFrame, pfds: Seq[PFD]): DataFrame =
+    singleTuple(df, pfds).withColumn("pair", lit(false))
+      .unionByName(majority(df, pfds, !_.isConstantRow)
+        .filter(col("tot") > 1 && col("majc") * 2 > col("tot") &&
+                (col("rk").isNull || col("rk") =!= col("majk")))
+        .select(col(TidCol), col("pfd"), col("row"), col("attr"), col("value"), lit(true) as "pair"))
 
-  /** Repair candidates of `pfd` over `df`: single-tuple violations of its
-    * constant rows, with the RHS literal as suggestion when it is the whole
-    * value, and strict minorities of its other rows' groups. Output columns:
-    * __tid, attr, value, suggestion (nullable).
+  /** Repair candidates of `pfd` over `df`, with the RHS literal as
+    * suggestion when a constant row's cell is the whole value. Output
+    * columns: __tid, attr, value, suggestion (nullable).
     */
   def violations(df: DataFrame, pfd: PFD): DataFrame = {
     val suggest = udf { (r: Int, b: String) =>
@@ -185,10 +194,9 @@ object PFDCheck {
         case _                                    => None
       }
     }
-    singleTuple(df, Seq(pfd))
-      .select(col(TidCol), col("attr"), col("value"), suggest(col("row"), col("attr")) as "suggestion")
-      .unionByName(majority(df, Seq(pfd), !_.isConstantRow).filter(strictMinority)
-        .select(col(TidCol), col("attr"), col("value"), lit(null: String) as "suggestion"))
+    flagged(df, Seq(pfd))
+      .select(col(TidCol), col("attr"), col("value"),
+              when(!col("pair"), suggest(col("row"), col("attr"))) as "suggestion")
       .distinct()
   }
 
@@ -205,8 +213,8 @@ object PFDCheck {
 
   /** One row (matched, violations) for a candidate PFD: the tuples that
     * participate in a tableau row, and those off their group's majority RHS
-    * key — failing the RHS cell, on the minority side, or on either side of
-    * a tie. Lazy: the caller runs the action.
+    * key: failing the RHS cell or holding another key (a tie counts one
+    * side). Lazy: the caller runs the action.
     */
   def validation(df: DataFrame, pfd: PFD): DataFrame =
     majority(df, Seq(pfd), _ => true)

@@ -5,8 +5,8 @@ import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.discovery.DiscoveredDep
 
-/** Error detection with validated PFDs (§5.3), as the two queries of the
-  * `PFDCheck` kernel whatever the number of dependencies.
+/** Error detection with validated PFDs (§5.3): the repair candidates of
+  * `PFDCheck.flagged`, two queries whatever the number of dependencies.
   *
   * Constant PFDs flag single tuples: t matches a tableau row's LHS patterns
   * but t[B] fails the row's RHS pattern. Variable PFDs flag pair-wise
@@ -20,13 +20,9 @@ import repro.core.discovery.DiscoveredDep
   */
 object ErrorDetector {
 
-  def detect(df: DataFrame, deps: Seq[DiscoveredDep]): DataFrame = {
-    val pfds = deps.map(_.pfd)
-    PFDCheck.singleTuple(df, pfds)
-      .unionByName(PFDCheck.majority(df, pfds, !_.isConstantRow).filter(PFDCheck.strictMinority)
-        .select(PFDCheck.TidCol, "pfd", "row", "attr", "value"))
+  def detect(df: DataFrame, deps: Seq[DiscoveredDep]): DataFrame =
+    PFDCheck.flagged(df, deps.map(_.pfd))
       .select(col(PFDCheck.TidCol), col("attr"), col("value"),
               element_at(typedLit(deps.map(_.render)), col("pfd") + 1) as "dep")
       .distinct()
-  }
 }
