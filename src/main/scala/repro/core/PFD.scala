@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -102,9 +102,7 @@ object PFDCheck {
 
   /** The columns `pfds` read as one string array column, and per tableau
     * row that `rows` selects its (PFD index, row index), its LHS checks
-    * (position, cell) and its RHS checks (attribute, position, cell). Both
-    * queries filter their input on `checks.nonEmpty`: with no row to check,
-    * the optimizer plans no scan.
+    * (position, cell) and its RHS checks (attribute, position, cell).
     */
   private def compile(pfds: Seq[PFD], rows: PTuple => Boolean) = {
     val attrs = pfds.flatMap(p => p.lhs ++ p.rhs).distinct
@@ -119,7 +117,8 @@ object PFDCheck {
 
   /** Single-tuple violations of the constant rows of `pfds`, in one scan: a
     * UDF returns each (PFD `pfd`, row `row`, RHS attribute `attr`) a tuple
-    * violates, exploded into rows. Columns: __tid, pfd, row, attr, value.
+    * violates, exploded into rows. With no constant row the optimizer plans
+    * no scan. Columns: __tid, pfd, row, attr, value.
     */
   def singleTuple(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
     val (vals, checks) = compile(pfds, _.isConstantRow)
@@ -158,7 +157,7 @@ object PFDCheck {
     }
     val group = Window.partitionBy("pfd", "row", "attr", "lkey")
     val majorityFirst = group.orderBy(col("rk").isNull.asc, col("c").desc, col("rk").asc)
-    withTid(df).where(lit(checks.nonEmpty))
+    withTid(df)
       .select(col(TidCol), explode(keyed(vals)) as "k")
       .select(col(TidCol), col("k._1") as "pfd", col("k._2") as "row", col("k._3") as "attr",
               col("k._4") as "lkey", col("k._5") as "rk", col("k._6") as "value")
@@ -176,12 +175,16 @@ object PFDCheck {
     * witness, so it flags nothing. Columns: __tid, pfd, row, attr, value,
     * pair (whether pair semantics flagged the cell).
     */
-  def flagged(df: DataFrame, pfds: Seq[PFD]): DataFrame =
-    singleTuple(df, pfds).withColumn("pair", lit(false))
-      .unionByName(majority(df, pfds, !_.isConstantRow)
-        .filter(col("tot") > 1 && col("majc") * 2 > col("tot") &&
-                (col("rk").isNull || col("rk") =!= col("majk")))
-        .select(col(TidCol), col("pfd"), col("row"), col("attr"), col("value"), lit(true) as "pair"))
+  def flagged(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
+    val single = singleTuple(df, pfds).withColumn("pair", lit(false))
+    // planning the majority query costs more than running the single-tuple
+    // scan on a small table, so it is only built when some row needs it
+    if (pfds.forall(_.tableau.forall(_.isConstantRow))) single
+    else single.unionByName(majority(df, pfds, !_.isConstantRow)
+      .filter(col("tot") > 1 && col("majc") * 2 > col("tot") &&
+              (col("rk").isNull || col("rk") =!= col("majk")))
+      .select(col(TidCol), col("pfd"), col("row"), col("attr"), col("value"), lit(true) as "pair"))
+  }
 
   /** Repair candidates of `pfd` over `df`, with the RHS literal as
     * suggestion when a constant row's cell is the whole value. Output
