@@ -65,6 +65,15 @@ class IntegrationSpec extends SparkSpec {
     assert(row.pfd.nDeps >= 0 && row.multiMillis == -1L)
     assert(Table7.render(Seq(row)).contains("T7"))
   }
+  test("Table7.runOne leaves its caller's cached table cached") {
+    val t = DirtyData.table(spark, 7, 0.0, seed = 5) // the 60-row minimum
+    t.df.cache()
+    try {
+      t.df.count()
+      Table7.runOne(t, 7, runMulti = false)
+      assert(t.df.storageLevel != org.apache.spark.storage.StorageLevel.NONE)
+    } finally t.df.unpersist()
+  }
   test("Table8 harness reproduces high precision on all three dependencies") {
     val rows = Table8.run(spark, n = 4000, seed = 11)
     assert(rows.size == 3)
