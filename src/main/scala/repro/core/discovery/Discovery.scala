@@ -102,7 +102,7 @@ object Discovery {
   /** Run `body` on `d` cached, and unpersist it afterwards even on failure.
     * A `d` that is already cached — the caller's input — is left as it is.
     */
-  private def cached[T](d: DataFrame)(body: DataFrame => T): T =
+  def cached[T](d: DataFrame)(body: DataFrame => T): T =
     if (d.storageLevel != StorageLevel.NONE) body(d)
     else {
       d.cache()

@@ -59,8 +59,7 @@ object Table7 {
       runOne(t, id, runMulti)
     }
 
-  def runOne(t: GeneratedTable, id: Int, runMulti: Boolean): Row = {
-    val df = t.df.cache()
+  def runOne(t: GeneratedTable, id: Int, runMulti: Boolean): Row = Discovery.cached(t.df) { df =>
     df.count()
 
     val fdep = FDep.discover(df, maxLhs = 2)
@@ -87,7 +86,6 @@ object Table7 {
       .collect().map(r => (r.getLong(0), r.getString(1))).toSet
     val errPr = Metrics.scoreErrors(flagged, t.errorCellSet)
 
-    df.unpersist()
     Row(id, t.name, t.df.columns.count(_ != repro.core.PFDCheck.TidCol), t.nRows,
         MethodRow(fdepPr.found, fdepPr, fdep.millis),
         MethodRow(cfdPr.found, cfdPr, cfd.millis),
