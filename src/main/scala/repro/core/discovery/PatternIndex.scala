@@ -1,6 +1,6 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
 import repro.core.PFDCheck
@@ -18,45 +18,45 @@ object PatternIndex {
   /** Full-value sentinel position for tokenized columns. */
   val FullValuePos: Int = -1
 
-  /** Build the inverted index for the qualitative columns of `profiles`. */
+  /** Build the inverted index for the qualitative columns of `profiles`,
+    * in one scan: one UDF over all of their values emits every column's
+    * (attr, token, pos, full) rows.
+    */
   def build(df0: DataFrame, profiles: Seq[ColumnProfile]): DataFrame = {
-    val spark: SparkSession = df0.sparkSession
-    import spark.implicits._
     val df = PFDCheck.withTid(df0)
     val useful = profiles.filter(_.isQualitative)
     require(useful.nonEmpty, "no qualitative columns to index")
+    val names = useful.map(_.name).toArray
+    val tokenize = useful.map(_.useTokenize).toArray
 
     // Pure-symbol substrings (a lone space or dash) carry no semantics —
     // tokenization already discards them as separators, and keeping them as
     // n-grams lets junk like "city has a space at offset 3" pass f.
     def informative(t: String): Boolean = t.exists(_.isLetterOrDigit)
 
-    val parts = useful.map { p =>
-      val extractor =
-        if (p.useTokenize)
-          udf { (s: String) =>
-            if (s == null) Seq.empty[(String, Int, Boolean)]
-            else Tokenizer.tokens(s).filter(t => informative(t.token))
-              .map(t => (t.token, t.pos, t.pos == 0 && t.atEnd)) :+ ((s, FullValuePos, true))
-          }
+    val extractor = udf { (vs: Seq[String]) =>
+      vs.indices.flatMap { i =>
+        val s = vs(i)
+        if (s == null) Seq.empty
+        else if (tokenize(i))
+          Tokenizer.tokens(s).filter(t => informative(t.token))
+            .map(t => (names(i), t.token, t.pos, t.pos == 0 && t.atEnd)) :+
+            ((names(i), s, FullValuePos, true))
         else
           // Prefix n-grams only: every pattern the paper mines or lists
           // (Table 3) anchors at offset 0 — `850\D{7}`, `6060\D` — while
           // mid-string offsets mostly surface positional coincidences
           // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
           // also bounds C2 linearly instead of quadratically.
-          udf { (s: String) =>
-            if (s == null) Seq.empty[(String, Int, Boolean)]
-            else Tokenizer.prefixes(s).filter(t => informative(t.token))
-              .map(t => (t.token, t.pos, t.atEnd))
-          }
-      df.select(
-          col(PFDCheck.TidCol) as "tid",
-          lit(p.name) as "attr",
-          explode(extractor(col(p.name).cast(StringType))) as "tp")
-        .select($"tid", $"attr", $"tp._1" as "token", $"tp._2" as "pos", $"tp._3" as "full")
+          Tokenizer.prefixes(s).filter(t => informative(t.token))
+            .map(t => (names(i), t.token, t.pos, t.atEnd))
+      }
     }
-    parts.reduce(_ unionByName _)
+    df.select(
+        col(PFDCheck.TidCol) as "tid",
+        explode(extractor(array(useful.map(p => col(p.name).cast(StringType)): _*))) as "p")
+      .select(col("tid"), col("p._1") as "attr", col("p._2") as "token",
+              col("p._3") as "pos", col("p._4") as "full")
   }
 
   /** Per-pattern statistics after substring pruning and the pattern cap.
