@@ -1,10 +1,11 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.{DataFrame, Column}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.storage.StorageLevel
 import repro.core._
+import scala.collection.mutable
 
 /** Discovery parameters (§4.2 restrictions (ii)/(iii) and §5.1 defaults). */
 final case class Params(
@@ -16,7 +17,9 @@ final case class Params(
     minCoverage: Double = 0.10,
     /** Lattice depth: number of LHS attributes (1 = single-LHS). */
     maxLhs: Int = 1,
-    /** Cap on frequent patterns per attribute entering the pair joins. */
+    /** Cap on patterns per attribute (per slice) kept after substring
+      * pruning, before the pair counts; the patterns it drops are logged.
+      */
     maxPatternsPerAttr: Int = 5000,
     /** Multi-LHS: how many frequent conditioning values to expand per attr. */
     maxConditionValues: Int = 12,
@@ -51,21 +54,24 @@ final case class DiscoveryResult(
 /** The PFD discovery algorithm of Fig. 4, on Spark DataFrames.
   *
   * Pipeline per table: profile columns → build the inverted pattern index
-  * once → substring-prune and support-filter pattern stats → one self-join
-  * of the filtered index on tid aggregates the joint counts of every
-  * attribute pair → the decision function f accepts (p_A → p_B) when
-  * |tids(p_A)| ≥ K and the best co-occurring RHS pattern covers
-  * ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop extensions of
+  * once → collect it to the driver, interned to int pattern ids →
+  * substring-prune, cap and support-filter the patterns → count the joint
+  * occurrences of every LHS pattern with the patterns of the other
+  * attributes in primitive arrays → the decision function f accepts
+  * (p_A → p_B) when |tids(p_A)| ≥ K and the best co-occurring RHS pattern
+  * covers ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop extensions of
   * already-selected patterns, keep the modal position — the single-semantics
   * optimization of §4.4) → report the dependency when the tableau covers ≥ γ
   * of the records → try to generalize the constant tableau to a variable PFD.
   * Level-2 of the attribute lattice conditions on frequent values of the
   * partner attribute (Example 8) after pruning pairs whose children already
   * produced a dependency. Every conditioning slice is a `slice` key of the
-  * same index, so mining costs a fixed number of Spark jobs whatever the
+  * same index, so mining costs one Spark action per call whatever the
   * number of attributes and slices.
   */
 object Discovery {
+
+  private val log = org.slf4j.LoggerFactory.getLogger(getClass)
 
   /** A constant tableau entry accepted by f, on the driver. `fullA`/`fullB`
     * record whether the token is the attribute's entire value on every
@@ -127,10 +133,12 @@ object Discovery {
   }
 
   /** Mine every slice of `index` (columns slice, tid, attr, token, pos, full)
-    * in one query: pattern stats, substring pruning and the pattern cap per
-    * (slice, attr); one self-join on (slice, tid) over distinct attributes;
-    * one group-by for the joint counts; one best-RHS ranking window. Each
-    * slice's entries are exactly those of mining its rows alone.
+    * on the driver: one `collect` of the index, interned to dense pattern
+    * ids; substring pruning and the pattern cap per (slice, attr)
+    * ([[PatternIndex.prune]]); then, per LHS pattern, its joint counts with
+    * every co-occurring RHS pattern of another attribute in the same
+    * (slice, tid), the decision f, and the best RHS pattern per attribute.
+    * Each slice's entries are exactly those of mining its rows alone.
     *
     * Returns the accepted tableau entries per slice and the set of
     * *trivially-covering* patterns — patterns present in ≥ `maxRhsCover` of
@@ -141,50 +149,83 @@ object Discovery {
     */
   private[discovery] def mineEntries(index: DataFrame, params: Params, nRows: Long,
                                      trivialOverride: Option[Set[(String, String, Int)]])
-      : (Map[Int, Seq[Entry]], Set[(String, String, Int)]) =
-    cached(PatternIndex.prunedStats(index, params.maxPatternsPerAttr)) { stats =>
-      val trivial = trivialOverride.getOrElse {
-        stats.filter(col("cnt") >= params.maxRhsCover * nRows)
-          .select("attr", "token", "pos").collect()
-          .map(r => (r.getString(0), r.getString(1), r.getInt(2))).toSet
-      }
-      val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
-      // trivially-covering patterns must be excluded from the RHS side *before*
-      // best-RHS ranking, or e.g. a constant "univ" email token would shadow
-      // the informative department token.
-      val isTrivial = struct(col("attr"), col("token"), col("pos")).isin(trivial.toSeq.map {
-        case (a, t, p) => struct(lit(a) as "attr", lit(t) as "token", lit(p) as "pos")
-      }: _*)
-      val frequent = index
-        .join(stats.filter(col("cnt") >= minRhsCnt), Seq("slice", "attr", "token", "pos"))
-        .filter(!isTrivial)
-      cached(frequent) { fidx =>
-        val lhsSide = fidx.filter(col("cnt") >= params.minSupport)
-          .select(col("slice"), col("tid"), col("attr") as "attrA", col("token") as "tokA",
-                  col("pos") as "posA", col("cnt") as "cntA", col("isFull") as "fullA")
-        val rhsSide = fidx
-          .select(col("slice"), col("tid"), col("attr") as "attrB", col("token") as "tokB",
-                  col("pos") as "posB", col("full") as "fullB0")
-        val joint = lhsSide.join(rhsSide, Seq("slice", "tid"))
-          .filter(col("attrA") =!= col("attrB"))
-          .groupBy("slice", "attrA", "tokA", "posA", "cntA", "fullA", "attrB", "tokB", "posB")
-          .agg(count(lit(1)) as "cj", (min(when(col("fullB0"), 1).otherwise(0)) === 1) as "fullB")
-          .filter(col("cj") >= ceil(col("cntA") * (1 - params.noise)))
-        // best RHS pattern per LHS pattern: most specific first (substring
-        // pruning guarantees a longer pattern is never dominated spuriously),
-        // then most frequent.
-        val w = Window.partitionBy("slice", "attrA", "tokA", "posA", "attrB")
-          .orderBy(length(col("tokB")).desc, col("cj").desc, col("tokB").asc, col("posB").asc)
-        val entries = joint.withColumn("__r", row_number().over(w)).filter(col("__r") === 1)
-          .select("slice", "attrA", "tokA", "posA", "cntA", "attrB", "tokB", "posB", "cj",
-                  "fullA", "fullB")
-          .collect()
-          .map(r => r.getInt(0) -> Entry(r.getString(1), r.getString(2), r.getInt(3), r.getLong(4),
-                                         r.getString(5), r.getString(6), r.getInt(7), r.getLong(8),
-                                         r.getBoolean(9), r.getBoolean(10)))
-        (entries.toSeq.groupMap(_._1)(_._2), trivial)
-      }
+      : (Map[Int, Seq[Entry]], Set[(String, String, Int)]) = {
+    val ix = PatternIndex.intern(PatternIndex.columns(index).collect())
+    val pruned = PatternIndex.prune(ix, params.maxPatternsPerAttr)
+    if (pruned.capDropped.nonEmpty)
+      log.info(s"maxPatternsPerAttr = ${params.maxPatternsPerAttr} dropped " +
+        s"${pruned.capDropped.values.sum} patterns in ${pruned.capDropped.size} (slice, attr) pairs: " +
+        pruned.capDropped.toSeq.sorted.map { case ((s, a), n) => s"$s/$a: $n" }.mkString(", "))
+    def key(i: Int) = (ix.attrName(i), ix.token(i), ix.pos(i))
+    val trivial = trivialOverride.getOrElse(
+      pruned.kept.filter(i => ix.cnt(i) >= params.maxRhsCover * nRows).map(key).toSet)
+    val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
+    // trivially-covering patterns must be excluded from the RHS side *before*
+    // best-RHS ranking, or e.g. a constant "univ" email token would shadow
+    // the informative department token.
+    val frequent = pruned.kept.filter(i => ix.cnt(i) >= minRhsCnt && !trivial.contains(key(i)))
+
+    // the frequent patterns of each (slice, tid), and each row's (slice, tid)
+    val groupOf = mutable.LongMap.empty[Int]
+    val rowGroup = new Array[Int](ix.tid.length)
+    val groupSize = mutable.ArrayBuffer.empty[Int]
+    for (i <- frequent; k <- ix.start(i) until ix.start(i + 1)) {
+      val g = groupOf.getOrElseUpdate(ix.slice(i).toLong << 32 | ix.tid(k),
+                                      { groupSize += 0; groupSize.size - 1 })
+      rowGroup(k) = g
+      groupSize(g) += 1
     }
+    val gStart = groupSize.scanLeft(0)(_ + _).toArray
+    val gNext = gStart.clone()
+    val gPat = new Array[Int](gStart.last)
+    val gFull = new Array[Boolean](gStart.last)
+    for (i <- frequent; k <- ix.start(i) until ix.start(i + 1)) {
+      val at = gNext(rowGroup(k))
+      gPat(at) = i; gFull(at) = ix.full(k)
+      gNext(rowGroup(k)) += 1
+    }
+
+    // per LHS pattern a: joint counts cj(a, b) in `cj`, reset after each a
+    val cj = new Array[Int](ix.size)
+    val notFullB = new Array[Boolean](ix.size)
+    val touched = new Array[Int](ix.size)
+    val best = Array.fill(ix.attrNames.length)(-1)
+    val len = ix.token.map(PatternIndex.cpLength)
+    // best RHS pattern: most specific first (substring pruning guarantees a
+    // longer pattern is never dominated spuriously), then most frequent.
+    def better(b: Int, c: Int): Boolean =
+      if (len(b) != len(c)) len(b) > len(c)
+      else if (cj(b) != cj(c)) cj(b) > cj(c)
+      else {
+        val t = PatternIndex.cpCompare(ix.token(b), ix.token(c))
+        if (t != 0) t < 0 else ix.pos(b) < ix.pos(c)
+      }
+    val entries = mutable.ArrayBuffer.empty[(Int, Entry)]
+    for (a <- frequent if ix.cnt(a) >= params.minSupport) {
+      var nTouched = 0
+      for (k <- ix.start(a) until ix.start(a + 1);
+           m <- gStart(rowGroup(k)) until gStart(rowGroup(k) + 1)) {
+        val b = gPat(m)
+        if (ix.attr(b) != ix.attr(a)) {
+          if (cj(b) == 0) { touched(nTouched) = b; nTouched += 1 }
+          cj(b) += 1
+          if (!gFull(m)) notFullB(b) = true
+        }
+      }
+      val need = math.ceil(ix.cnt(a) * (1 - params.noise))
+      for (t <- 0 until nTouched) {
+        val b = touched(t)
+        if (cj(b) >= need && (best(ix.attr(b)) < 0 || better(b, best(ix.attr(b))))) best(ix.attr(b)) = b
+      }
+      for (b <- best if b >= 0)
+        entries += ix.slice(a) -> Entry(ix.attrName(a), ix.token(a), ix.pos(a), ix.cnt(a),
+                                        ix.attrName(b), ix.token(b), ix.pos(b), cj(b),
+                                        ix.isFull(a), !notFullB(b))
+      for (t <- 0 until nTouched) { cj(touched(t)) = 0; notFullB(touched(t)) = false }
+      java.util.Arrays.fill(best, -1)
+    }
+    (entries.toSeq.groupMap(_._1)(_._2), trivial)
+  }
 
   // ------------------------------------------------------------------
   // Tableau selection + PFD construction for one candidate dependency.

@@ -1,17 +1,19 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StringType
+import org.apache.spark.sql.types._
 import repro.core.PFDCheck
+import scala.collection.mutable
 
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
   * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
   * columns, full value added as pos = -1) or a character offset (n-gram
-  * columns). `prunedStats` applies the substring-pruning optimization of
-  * §4.4: among patterns of one attribute appearing in exactly the same set
-  * of tuples, only the most specific (longest) survives — 'Egypt' is kept
-  * over 'Egy' in Example 8.
+  * columns). Mining collects it to the driver once and interns it
+  * ([[Interned]]); `prune` applies the substring-pruning optimization of
+  * §4.4 there: among patterns of one attribute appearing in exactly the
+  * same set of tuples, only the most specific (longest) survives — 'Egypt'
+  * is kept over 'Egy' in Example 8.
   */
 object PatternIndex {
 
@@ -59,37 +61,161 @@ object PatternIndex {
               col("p._3") as "pos", col("p._4") as "full")
   }
 
-  /** Per-pattern statistics after substring pruning and the pattern cap.
+  /** The columns [[intern]] reads, in its order: slice (0 when `index` has
+    * no `slice` column), tid, attr, token, pos, full.
+    */
+  def columns(index: DataFrame): DataFrame = {
+    val slice = if (index.columns.contains("slice")) col("slice") else lit(0) as "slice"
+    index.select(slice, col("tid").cast(LongType), col("attr"), col("token"), col("pos"), col("full"))
+  }
+
+  /** The collected index with dense ids: pattern i is (`slice(i)`,
+    * `attrNames(attr(i))`, `token(i)`, `pos(i)`), and its rows are
+    * `start(i) until start(i + 1)` of `tid` (dense tuple numbers) and
+    * `full`.
+    */
+  final class Interned(val slice: Array[Int], val attr: Array[Int], val attrNames: Array[String],
+                       val token: Array[String], val pos: Array[Int],
+                       val start: Array[Int], val tid: Array[Int], val full: Array[Boolean]) {
+    def size: Int = slice.length
+    def cnt(i: Int): Int = start(i + 1) - start(i)
+    /** A pattern "is the full value" only if it is on every occurrence. */
+    def isFull(i: Int): Boolean = (start(i) until start(i + 1)).forall(full)
+    def attrName(i: Int): String = attrNames(attr(i))
+  }
+
+  private final case class Key(slice: Int, attr: Int, token: String, pos: Int)
+
+  /** Intern rows of [[columns]]: one pattern id per (slice, attr, token,
+    * pos), rows grouped by pattern.
+    */
+  def intern(rows: Array[Row]): Interned = {
+    val n = rows.length
+    val attrIds = mutable.HashMap.empty[String, Int]
+    val patIds = mutable.HashMap.empty[Key, Int]
+    val keys = mutable.ArrayBuffer.empty[Key]
+    val tidIds = mutable.LongMap.empty[Int]
+    val rowPat = new Array[Int](n)
+    val rowTid = new Array[Int](n)
+    val rowFull = new Array[Boolean](n)
+    var r = 0
+    while (r < n) {
+      val row = rows(r)
+      val a = attrIds.getOrElseUpdate(row.getString(2), attrIds.size)
+      val k = Key(row.getInt(0), a, row.getString(3), row.getInt(4))
+      rowPat(r) = patIds.getOrElseUpdate(k, { keys += k; keys.size - 1 })
+      rowTid(r) = tidIds.getOrElseUpdate(row.getLong(1), tidIds.size)
+      rowFull(r) = row.getBoolean(5)
+      r += 1
+    }
+    // counting sort of the rows by pattern
+    val start = new Array[Int](keys.size + 1)
+    rowPat.foreach(p => start(p + 1) += 1)
+    for (i <- 1 to keys.size) start(i) += start(i - 1)
+    val next = start.clone()
+    val tid = new Array[Int](n)
+    val full = new Array[Boolean](n)
+    r = 0
+    while (r < n) {
+      val at = next(rowPat(r))
+      tid(at) = rowTid(r); full(at) = rowFull(r)
+      next(rowPat(r)) += 1
+      r += 1
+    }
+    val names = new Array[String](attrIds.size)
+    attrIds.foreach { case (s, a) => names(a) = s }
+    new Interned(keys.map(_.slice).toArray, keys.map(_.attr).toArray, names,
+                 keys.map(_.token).toArray, keys.map(_.pos).toArray, start, tid, full)
+  }
+
+  /** Patterns kept by [[prune]] (ids of an [[Interned]]), and how many
+    * patterns the cap dropped per (slice, attr) where it dropped any.
+    */
+  final case class Pruned(kept: Array[Int], capDropped: Map[(Int, String), Int])
+
+  /** Length in code points, as Spark's `length`. */
+  private[discovery] def cpLength(s: String): Int = s.codePointCount(0, s.length)
+
+  /** Code-point order, as Spark's string order (UTF-8 bytes). */
+  private[discovery] def cpCompare(a: String, b: String): Int = {
+    var i = 0
+    while (i < a.length && i < b.length) {
+      val ca = a.codePointAt(i)
+      val cb = b.codePointAt(i)
+      if (ca != cb) return Integer.compare(ca, cb)
+      i += Character.charCount(ca)
+    }
+    Integer.compare(a.length - i, b.length - i)
+  }
+
+  /** Substring pruning and the pattern cap, per (slice, attr). Of patterns
+    * with exactly the same tid set the most specific survives (longest
+    * token, then lowest pos, then lowest token); of the survivors the
+    * `maxPatternsPerAttr` first by (cnt desc, length desc, token, pos) are
+    * kept.
+    */
+  def prune(ix: Interned, maxPatternsPerAttr: Int): Pruned = {
+    val len = ix.token.map(cpLength)
+    val sorted = ix.tid.clone()
+    for (i <- 0 until ix.size) java.util.Arrays.sort(sorted, ix.start(i), ix.start(i + 1))
+    def sameTids(i: Int, j: Int): Boolean =
+      java.util.Arrays.equals(sorted, ix.start(i), ix.start(i + 1), sorted, ix.start(j), ix.start(j + 1))
+    def tidHash(i: Int): Int = {
+      var h = 0
+      for (k <- ix.start(i) until ix.start(i + 1)) h = 31 * h + sorted(k)
+      h
+    }
+    def moreSpecific(i: Int, j: Int): Boolean =
+      if (len(i) != len(j)) len(i) > len(j)
+      else if (ix.pos(i) != ix.pos(j)) ix.pos(i) < ix.pos(j)
+      else cpCompare(ix.token(i), ix.token(j)) < 0
+
+    // one representative per class of equal tid sets within (slice, attr)
+    val reps = mutable.HashMap.empty[(Int, Int, Int, Int), List[Int]]
+    for (i <- 0 until ix.size) {
+      val k = (ix.slice(i), ix.attr(i), ix.cnt(i), tidHash(i))
+      val candidates = reps.getOrElse(k, Nil)
+      candidates.find(sameTids(_, i)) match {
+        case Some(r) if moreSpecific(r, i) =>
+        case Some(r) => reps(k) = i :: candidates.filter(_ != r)
+        case None    => reps(k) = i :: candidates
+      }
+    }
+    val byCnt: Ordering[Int] = (i, j) =>
+      if (ix.cnt(i) != ix.cnt(j)) Integer.compare(ix.cnt(j), ix.cnt(i))
+      else if (len(i) != len(j)) Integer.compare(len(j), len(i))
+      else {
+        val t = cpCompare(ix.token(i), ix.token(j))
+        if (t != 0) t else Integer.compare(ix.pos(i), ix.pos(j))
+      }
+    val perAttr = reps.values.flatten.toArray.groupBy(i => (ix.slice(i), ix.attr(i)))
+    val kept = perAttr.values.flatMap(_.sorted(byCnt).take(maxPatternsPerAttr)).toArray
+    val dropped = perAttr.collect {
+      case ((s, a), ids) if ids.length > maxPatternsPerAttr =>
+        (s, ix.attrNames(a)) -> (ids.length - maxPatternsPerAttr)
+    }
+    Pruned(kept, dropped)
+  }
+
+  /** Per-pattern statistics after substring pruning and the pattern cap,
+    * computed by [[prune]] on the collected index.
     *
     * Output columns: attr, token, pos, cnt, isFull. When `index` carries a
     * `slice` column (level-2 conditioning slices), statistics, pruning and
     * the cap of `maxPatternsPerAttr` are per (slice, attr) and `slice` leads
-    * the output, so each slice reads as if indexed alone. The tid-set
-    * signature used for pruning is (count, sum(tid), sum(hash(tid))) —
-    * identical signatures are taken as identical tid sets (a 32-bit murmur
-    * collision on top of equal counts and tid sums is negligible and at
-    * worst drops one pattern).
+    * the output, so each slice reads as if indexed alone.
     */
   def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val keys = index.columns.filter(_ == "slice").toSeq :+ "attr"
-    val stats = index
-      .groupBy((keys ++ Seq("token", "pos")).map(col): _*)
-      .agg(
-        count(lit(1)) as "cnt",
-        sum("tid") as "sigSum",
-        sum(hash(col("tid")).cast("long")) as "sigHash",
-        // a pattern "is the full value" only if it is on every occurrence
-        (min(when(col("full"), 1).otherwise(0)) === 1) as "isFull")
-    val bySig = Window.partitionBy((keys ++ Seq("cnt", "sigSum", "sigHash")).map(col): _*)
-      .orderBy(length(col("token")).desc, col("pos").asc, col("token").asc)
-    val byCnt = Window.partitionBy(keys.map(col): _*)
-      .orderBy(col("cnt").desc, length(col("token")).desc, col("token").asc, col("pos").asc)
-    stats
-      .withColumn("__r", row_number().over(bySig))
-      .filter(col("__r") === 1)
-      .withColumn("__r2", row_number().over(byCnt))
-      .filter(col("__r2") <= maxPatternsPerAttr)
-      .select((keys ++ Seq("token", "pos", "cnt", "isFull")).map(col): _*)
+    val ix = intern(columns(index).collect())
+    val sliced = index.columns.contains("slice")
+    val rows = prune(ix, maxPatternsPerAttr).kept.toSeq.map { i =>
+      val stats = Seq(ix.attrName(i), ix.token(i), ix.pos(i), ix.cnt(i).toLong, ix.isFull(i))
+      Row.fromSeq(if (sliced) ix.slice(i) +: stats else stats)
+    }
+    val fields = Seq(StructField("attr", StringType), StructField("token", StringType),
+                     StructField("pos", IntegerType), StructField("cnt", LongType),
+                     StructField("isFull", BooleanType))
+    val schema = StructType(if (sliced) StructField("slice", IntegerType) +: fields else fields)
+    index.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
   }
 }

@@ -218,6 +218,59 @@ class DiscoverySpec extends SparkSpec {
     }
   }
 
+  test("Oracle cross-check: level-1 mining on T7 equals the mining pipeline in SQL") {
+    val t7 = DirtyData.table(spark, 7).df
+    val index = PatternIndex.build(t7, Profiler.profile(t7).filter(_.isQualitative)).cache()
+    try {
+      val n = t7.count()
+      // the default cap, and one that binds on some attributes
+      for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5))) {
+        val entries = Discovery.mineEntries(index.withColumn("slice", lit(0)), params, n, None)
+          ._1.getOrElse(0, Seq.empty)
+        assert(entries.nonEmpty)
+        val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
+        // stats with exact tid-set signatures; substring pruning and the cap
+        // as row_number filters; the trivial-RHS guard; the self-join on tid
+        // with f; the best RHS pattern per (LHS pattern, RHS attribute)
+        repro.Oracle.assertEquivalent(
+          entries.toDF(),
+          s"""WITH ix AS (
+             |  SELECT CAST(tid AS BIGINT) AS tid, attr, token, CAST(pos AS INTEGER) AS pos,
+             |         CAST(whole AS BOOLEAN) AS whole FROM idx),
+             |stats AS (
+             |  SELECT attr, token, pos, count(*) AS cnt, bool_and(whole) AS isFull,
+             |         string_agg(CAST(tid AS VARCHAR), ',' ORDER BY tid) AS sig
+             |  FROM ix GROUP BY attr, token, pos),
+             |pruned AS (
+             |  SELECT * FROM stats QUALIFY row_number() OVER (
+             |    PARTITION BY attr, sig ORDER BY length(token) DESC, pos, token) = 1),
+             |capped AS (
+             |  SELECT * FROM pruned QUALIFY row_number() OVER (
+             |    PARTITION BY attr ORDER BY cnt DESC, length(token) DESC, token, pos)
+             |    <= ${params.maxPatternsPerAttr}),
+             |frequent AS (
+             |  SELECT ix.tid, ix.attr, ix.token, ix.pos, ix.whole, c.cnt, c.isFull
+             |  FROM ix JOIN capped c ON ix.attr = c.attr AND ix.token = c.token AND ix.pos = c.pos
+             |  WHERE c.cnt >= $minRhsCnt
+             |    AND CAST(c.cnt AS DOUBLE) < CAST(${params.maxRhsCover * n} AS DOUBLE)),
+             |joint AS (
+             |  SELECT a.attr AS attrA, a.token AS tokA, a.pos AS posA, a.cnt AS cntA,
+             |         a.isFull AS fullA, b.attr AS attrB, b.token AS tokB, b.pos AS posB,
+             |         count(*) AS cj, bool_and(b.whole) AS fullB
+             |  FROM frequent a JOIN frequent b ON a.tid = b.tid AND a.attr <> b.attr
+             |  WHERE a.cnt >= ${params.minSupport}
+             |  GROUP BY a.attr, a.token, a.pos, a.cnt, a.isFull, b.attr, b.token, b.pos
+             |  HAVING count(*) >= ceil(a.cnt * CAST(${1 - params.noise} AS DOUBLE)))
+             |SELECT attrA, tokA, posA, cntA, attrB, tokB, posB, cj, fullA, fullB FROM joint
+             |QUALIFY row_number() OVER (
+             |  PARTITION BY attrA, tokA, posA, attrB
+             |  ORDER BY length(tokB) DESC, cj DESC, tokB, posB) = 1""".stripMargin,
+          "idx" -> index.select(col("tid"), col("attr"), col("token"), col("pos"),
+                                col("full") as "whole"))
+      }
+    } finally index.unpersist()
+  }
+
   test("discovery runs as many Spark jobs as with two more qualitative columns") {
     // city makes level 1 find country → city; both tables mine level 2
     val base = table6.withColumn("city",
