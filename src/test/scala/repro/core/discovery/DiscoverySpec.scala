@@ -223,8 +223,10 @@ class DiscoverySpec extends SparkSpec {
     val index = PatternIndex.build(t7, Profiler.profile(t7).filter(_.isQualitative)).cache()
     try {
       val n = t7.count()
-      // the default cap, and one that binds on some attributes
-      for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5))) {
+      // the defaults; a cap that binds on some attributes; a noise at which
+      // some pair's cj equals floor(cntA·(1−δ)) < ceil(cntA·(1−δ))
+      for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5),
+                         Params(noise = 0.15, maxPatternsPerAttr = 12))) {
         val entries = Discovery.mineEntries(index.withColumn("slice", lit(0)), params, n, None)
           ._1.getOrElse(0, Seq.empty)
         assert(entries.nonEmpty)
