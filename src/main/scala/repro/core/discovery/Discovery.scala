@@ -17,8 +17,9 @@ final case class Params(
     minCoverage: Double = 0.10,
     /** Lattice depth: number of LHS attributes (1 = single-LHS). */
     maxLhs: Int = 1,
-    /** Cap on patterns per attribute (per slice) kept after substring
-      * pruning, before the pair counts; the patterns it drops are logged.
+    /** Cap on patterns per attribute kept after substring pruning, before
+      * the pair counts; level 2 applies it in each conditioning slice. The
+      * patterns it drops are logged.
       */
     maxPatternsPerAttr: Int = 5000,
     /** Multi-LHS: how many frequent conditioning values to expand per attr. */
@@ -65,9 +66,9 @@ final case class DiscoveryResult(
   * of the records → try to generalize the constant tableau to a variable PFD.
   * Level-2 of the attribute lattice conditions on frequent values of the
   * partner attribute (Example 8) after pruning pairs whose children already
-  * produced a dependency. Every conditioning slice is a `slice` key of the
-  * same index, so mining costs one Spark action per call whatever the
-  * number of attributes and slices.
+  * produced a dependency, and mines each conditioning slice as level 1's
+  * interned index restricted to the slice's tuples. The index is collected
+  * once per discovery, whatever the number of attributes and slices.
   */
 object Discovery {
 
@@ -81,11 +82,6 @@ object Discovery {
                          attrB: String, tokB: String, posB: Int, cj: Long,
                          fullA: Boolean = false, fullB: Boolean = false)
 
-  /** A conditioning slice of level 2: the rows whose `cond` equals `value`,
-    * mined on `attrs` only.
-    */
-  private[discovery] final case class Slice(cond: String, value: String, attrs: Seq[String])
-
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
     cached(PFDCheck.withTid(df0)) { df =>
@@ -94,10 +90,11 @@ object Discovery {
       val quals = profiles.filter(_.isQualitative)
       val deps =
         if (quals.size < 2) Seq.empty
-        else cached(PatternIndex.build(df, quals)) { index =>
-          val (single, trivial) = discoverLevel1(df, index, n, profiles, params)
+        else {
+          val index = PatternIndex.build(df, quals)
+          val (single, ix, trivial) = discoverLevel1(df, index, n, profiles, params)
           val multi =
-            if (params.maxLhs >= 2) discoverLevel2(df, index, n, profiles, params, single, trivial)
+            if (params.maxLhs >= 2) discoverLevel2(df, ix, n, profiles, params, single, trivial)
             else Seq.empty
           single ++ multi
         }
@@ -120,42 +117,46 @@ object Discovery {
   // ------------------------------------------------------------------
 
   private[discovery] def discoverLevel1(df: DataFrame, index: DataFrame, n: Long,
-                                        profiles: Seq[ColumnProfile],
-                                        params: Params): (Seq[DiscoveredDep], Set[(String, String, Int)]) = {
-    val (bySlice, trivial) =
-      mineEntries(index.withColumn("slice", lit(0)), params, n, trivialOverride = None)
-    val byPair = bySlice.getOrElse(0, Seq.empty).groupBy(e => (e.attrA, e.attrB))
+                                        profiles: Seq[ColumnProfile], params: Params)
+      : (Seq[DiscoveredDep], PatternIndex.Interned, Set[(String, String, Int)]) = {
+    val (ix, (entries, trivial, capDropped)) = mineEntries(index, params, n)
+    logCapDropped(1, params, Seq(capDropped))
     val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
-    val deps = byPair.toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
-      buildDep(df, Seq(a), b, es, n, n, tokenized, params, conditioning = Map.empty)
+    val deps = entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
+      val rows = selectTableau(es, tokenized(a)).map(Map.empty[String, Cell] -> _)
+      report(Seq(a), b, rows, n, tokenized, params)(Generalizer.generalize(df, a, b, _, tokenized, params))
     }
-    (deps, trivial)
+    (deps, ix, trivial)
   }
 
-  /** Mine every slice of `index` (columns slice, tid, attr, token, pos, full)
-    * on the driver: one `collect` of the index, interned to dense pattern
-    * ids; substring pruning and the pattern cap per (slice, attr)
-    * ([[PatternIndex.prune]]); then, per LHS pattern, its joint counts with
-    * every co-occurring RHS pattern of another attribute in the same
-    * (slice, tid), the decision f, and the best RHS pattern per attribute.
-    * Each slice's entries are exactly those of mining its rows alone.
-    *
-    * Returns the accepted tableau entries per slice and the set of
-    * *trivially-covering* patterns — patterns present in ≥ `maxRhsCover` of
-    * the `nRows` rows (constant id prefixes and the like), which are
-    * rejected as RHS evidence. Level 2 passes the full-table trivial set via
-    * `trivialOverride` so that conditioning on a slice does not turn a
-    * globally-varied column into a "constant" one.
+  /** Collect `index` (columns tid, attr, token, pos, full) to the driver
+    * once, intern it to dense pattern ids and [[mine]] it. The interned
+    * index is returned too: level 2 mines its restrictions to slices.
     */
-  private[discovery] def mineEntries(index: DataFrame, params: Params, nRows: Long,
-                                     trivialOverride: Option[Set[(String, String, Int)]])
-      : (Map[Int, Seq[Entry]], Set[(String, String, Int)]) = {
+  private[discovery] def mineEntries(index: DataFrame, params: Params, nRows: Long)
+      : (PatternIndex.Interned, (Seq[Entry], Set[(String, String, Int)], Map[String, Int])) = {
     val ix = PatternIndex.intern(PatternIndex.columns(index).collect())
+    (ix, mine(ix, params, nRows, trivialOverride = None))
+  }
+
+  /** Mine an interned index on the driver: substring pruning and the
+    * pattern cap per attribute ([[PatternIndex.prune]]); then, per LHS
+    * pattern, its joint counts with every co-occurring RHS pattern of
+    * another attribute in the same tuple, the decision f, and the best RHS
+    * pattern per attribute.
+    *
+    * Returns the accepted tableau entries, the set of *trivially-covering*
+    * patterns — patterns present in ≥ `maxRhsCover` of the `nRows` rows
+    * (constant id prefixes and the like), which are rejected as RHS
+    * evidence — and the patterns the cap dropped per attribute. Level 2
+    * passes the full-table trivial set via `trivialOverride` so that
+    * conditioning on a slice does not turn a globally-varied column into a
+    * "constant" one.
+    */
+  private[discovery] def mine(ix: PatternIndex.Interned, params: Params, nRows: Long,
+                              trivialOverride: Option[Set[(String, String, Int)]])
+      : (Seq[Entry], Set[(String, String, Int)], Map[String, Int]) = {
     val pruned = PatternIndex.prune(ix, params.maxPatternsPerAttr)
-    if (pruned.capDropped.nonEmpty)
-      log.info(s"maxPatternsPerAttr = ${params.maxPatternsPerAttr} dropped " +
-        s"${pruned.capDropped.values.sum} patterns in ${pruned.capDropped.size} (slice, attr) pairs: " +
-        pruned.capDropped.toSeq.sorted.map { case ((s, a), n) => s"$s/$a: $n" }.mkString(", "))
     def key(i: Int) = (ix.attrName(i), ix.token(i), ix.pos(i))
     val trivial = trivialOverride.getOrElse(
       pruned.kept.filter(i => ix.cnt(i) >= params.maxRhsCover * nRows).map(key).toSet)
@@ -165,24 +166,17 @@ object Discovery {
     // the informative department token.
     val frequent = pruned.kept.filter(i => ix.cnt(i) >= minRhsCnt && !trivial.contains(key(i)))
 
-    // the frequent patterns of each (slice, tid), and each row's (slice, tid)
-    val groupOf = mutable.LongMap.empty[Int]
-    val rowGroup = new Array[Int](ix.tid.length)
-    val groupSize = mutable.ArrayBuffer.empty[Int]
+    // the frequent patterns of each tuple: tPat/tFull(tStart(t) until tStart(t + 1))
+    val tStart = new Array[Int](ix.nTuples + 1)
+    for (i <- frequent; k <- ix.start(i) until ix.start(i + 1)) tStart(ix.tid(k) + 1) += 1
+    for (t <- 1 to ix.nTuples) tStart(t) += tStart(t - 1)
+    val tNext = tStart.clone()
+    val tPat = new Array[Int](tStart.last)
+    val tFull = new Array[Boolean](tStart.last)
     for (i <- frequent; k <- ix.start(i) until ix.start(i + 1)) {
-      val g = groupOf.getOrElseUpdate(ix.slice(i).toLong << 32 | ix.tid(k),
-                                      { groupSize += 0; groupSize.size - 1 })
-      rowGroup(k) = g
-      groupSize(g) += 1
-    }
-    val gStart = groupSize.scanLeft(0)(_ + _).toArray
-    val gNext = gStart.clone()
-    val gPat = new Array[Int](gStart.last)
-    val gFull = new Array[Boolean](gStart.last)
-    for (i <- frequent; k <- ix.start(i) until ix.start(i + 1)) {
-      val at = gNext(rowGroup(k))
-      gPat(at) = i; gFull(at) = ix.full(k)
-      gNext(rowGroup(k)) += 1
+      val at = tNext(ix.tid(k))
+      tPat(at) = i; tFull(at) = ix.full(k)
+      tNext(ix.tid(k)) += 1
     }
 
     // per LHS pattern a: joint counts cj(a, b) in `cj`, reset after each a
@@ -200,16 +194,15 @@ object Discovery {
         val t = PatternIndex.cpCompare(ix.token(b), ix.token(c))
         if (t != 0) t < 0 else ix.pos(b) < ix.pos(c)
       }
-    val entries = mutable.ArrayBuffer.empty[(Int, Entry)]
+    val entries = mutable.ArrayBuffer.empty[Entry]
     for (a <- frequent if ix.cnt(a) >= params.minSupport) {
       var nTouched = 0
-      for (k <- ix.start(a) until ix.start(a + 1);
-           m <- gStart(rowGroup(k)) until gStart(rowGroup(k) + 1)) {
-        val b = gPat(m)
+      for (k <- ix.start(a) until ix.start(a + 1); m <- tStart(ix.tid(k)) until tStart(ix.tid(k) + 1)) {
+        val b = tPat(m)
         if (ix.attr(b) != ix.attr(a)) {
           if (cj(b) == 0) { touched(nTouched) = b; nTouched += 1 }
           cj(b) += 1
-          if (!gFull(m)) notFullB(b) = true
+          if (!tFull(m)) notFullB(b) = true
         }
       }
       val need = math.ceil(ix.cnt(a) * (1 - params.noise))
@@ -218,50 +211,48 @@ object Discovery {
         if (cj(b) >= need && (best(ix.attr(b)) < 0 || better(b, best(ix.attr(b))))) best(ix.attr(b)) = b
       }
       for (b <- best if b >= 0)
-        entries += ix.slice(a) -> Entry(ix.attrName(a), ix.token(a), ix.pos(a), ix.cnt(a),
-                                        ix.attrName(b), ix.token(b), ix.pos(b), cj(b),
-                                        ix.isFull(a), !notFullB(b))
+        entries += Entry(ix.attrName(a), ix.token(a), ix.pos(a), ix.cnt(a),
+                         ix.attrName(b), ix.token(b), ix.pos(b), cj(b),
+                         ix.isFull(a), !notFullB(b))
       for (t <- 0 until nTouched) { cj(touched(t)) = 0; notFullB(touched(t)) = false }
       java.util.Arrays.fill(best, -1)
     }
-    (entries.toSeq.groupMap(_._1)(_._2), trivial)
+    (entries.toSeq, trivial, pruned.capDropped)
+  }
+
+  /** One INFO line for a lattice level when the pattern cap dropped any
+    * patterns in the indexes it mined (`dropped`: per index, per attribute).
+    */
+  private def logCapDropped(level: Int, params: Params, dropped: Seq[Map[String, Int]]): Unit = {
+    val perAttr = dropped.flatten.groupMapReduce(_._1)(_._2)(_ + _)
+    if (perAttr.nonEmpty)
+      log.info(s"level $level: maxPatternsPerAttr = ${params.maxPatternsPerAttr} dropped " +
+        perAttr.toSeq.sorted.map { case (a, n) => s"$a: $n" }.mkString(", "))
   }
 
   // ------------------------------------------------------------------
   // Tableau selection + PFD construction for one candidate dependency.
   // ------------------------------------------------------------------
 
-  /** Greedy tableau selection and dependency reporting. `total` is the
-    * coverage denominator (whole table); `subTotal` the size of the slice
-    * the entries were mined on (equal to `total` at level 1).
-    * `conditioning` carries constant LHS cells of already-fixed attributes
-    * (multi-LHS).
+  /** Report lhs → b when the selected tableau `rows` (each an entry with
+    * the constant cells of its conditioning attributes) covers ≥ γ of the
+    * `n` records; as the variable PFD that `generalize` finds from the
+    * entries, if any, or else as the constant PFD.
     */
-  private def buildDep(df: DataFrame, lhsAttrs: Seq[String], b: String,
-                       es: Seq[Entry], total: Long, subTotal: Long,
-                       tokenized: Map[String, Boolean], params: Params,
-                       conditioning: Map[String, Cell]): Option[DiscoveredDep] = {
-    val a = lhsAttrs.last // the pattern-bearing attribute
-    val selected = selectTableau(es, tokenized(a))
-    if (selected.isEmpty) return None
-    val coverage = selected.map(_.cntA).sum.toDouble / total
-    if (coverage < params.minCoverage) return None
-
-    val rows = selected.map { e =>
-      PTuple(
-        conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
-        Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
-    }
-    val constantPfd = PFD(lhsAttrs, Seq(b), rows)
-    val generalized =
-      if (params.generalize && conditioning.isEmpty)
-        Generalizer.generalize(df, a, b, selected, tokenized, params)
-      else None
-    generalized match {
-      case Some(g) =>
-        Some(DiscoveredDep(lhsAttrs, b, g, isVariable = true, coverage, rows.size))
-      case None =>
-        Some(DiscoveredDep(lhsAttrs, b, constantPfd, isVariable = false, coverage, rows.size))
+  private def report(lhs: Seq[String], b: String, rows: Seq[(Map[String, Cell], Entry)], n: Long,
+                     tokenized: Map[String, Boolean], params: Params)
+                    (generalize: Seq[Entry] => Option[PFD]): Option[DiscoveredDep] = {
+    val a = lhs.last // the pattern-bearing attribute
+    val coverage = rows.map(_._2.cntA).sum.toDouble / n
+    if (rows.isEmpty || coverage < params.minCoverage) None
+    else {
+      val tableau = rows.map { case (conditioning, e) =>
+        PTuple(conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
+               Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
+      }
+      val g = if (params.generalize) generalize(rows.map(_._2)) else None
+      Some(DiscoveredDep(lhs, b, g.getOrElse(PFD(lhs, Seq(b), tableau)), g.isDefined, coverage,
+                         tableau.size))
     }
   }
 
@@ -331,7 +322,7 @@ object Discovery {
   // Level 2 of the attribute-set lattice: {A, C} → B (Example 8).
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel2(df: DataFrame, index: DataFrame, n: Long,
+  private[discovery] def discoverLevel2(df: DataFrame, ix: PatternIndex.Interned, n: Long,
                                         profiles: Seq[ColumnProfile], params: Params,
                                         found: Seq[DiscoveredDep],
                                         trivial: Set[(String, String, Int)]): Seq[DiscoveredDep] = {
@@ -340,16 +331,16 @@ object Discovery {
     val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
     val attrs = quals.map(_.name)
 
-    // Mine every conditioning slice in one query and reuse its entries for
-    // every candidate {cond, pat} -> b (Example 8's "mine each slice").
+    // Mine every conditioning slice once and reuse its entries for every
+    // candidate {cond, pat} -> b (Example 8's "mine each slice").
     // The conditioning attribute is the one whose top values are most
     // frequent (Example 8 starts from 'country'); a candidate triple
     // (cond, pat, b) is kept only when the lattice's children produced
     // nothing (restriction iv) and pat has fewer frequent top values than
     // cond would grant it as conditioner.
     val topByAttr = topValues(df, attrs, params)
-    def top(a: String): Seq[(String, Long)] = topByAttr.getOrElse(a, Seq.empty)
-    def topCount(a: String): Long = top(a).headOption.map(_._2).getOrElse(0L)
+    def top(a: String): Seq[(String, Seq[Long])] = topByAttr.getOrElse(a, Seq.empty)
+    def topCount(a: String): Int = top(a).headOption.map(_._2.size).getOrElse(0)
 
     val plans: Seq[(String, Seq[(String, String)])] = attrs.flatMap { cond =>
       val cands = for {
@@ -362,88 +353,53 @@ object Discovery {
       // coverage pruning (§4.2 restriction iv): a level-2 tableau only
       // covers rows inside the conditioning slices, so a conditioner whose
       // frequent values cover less than γ can never yield a dependency.
-      val condCoverage = top(cond).map(_._2).sum.toDouble / n
+      val condCoverage = top(cond).map(_._2.size).sum.toDouble / n
       if (top(cond).isEmpty || cands.isEmpty || condCoverage < params.minCoverage) None
       else Some(cond -> cands)
     }
-    if (plans.isEmpty) return Seq.empty
-    // one slice per (conditioner, frequent value)
-    val slices = plans.flatMap { case (cond, cands) =>
-      val needed = cands.flatMap(c => Seq(c._1, c._2)).distinct
-      top(cond).map { case (v, _) => Slice(cond, v, needed) }
-    }
-    val entries = mineEntries(sliceIndex(df, index, slices), params, n, Some(trivial))._1
-    // per conditioner, its (value, entries) slices in top-value order
-    val entriesByVal: Map[String, Seq[(String, Seq[Entry])]] =
-      slices.zipWithIndex.groupMap(_._1.cond) { case (s, i) => (s.value, entries.getOrElse(i, Seq.empty)) }
-
-    plans.flatMap { case (cond, cands) =>
+    // one slice per (conditioner, frequent value): level 1's index on the
+    // slice's tuples and the attributes its conditioner's candidates need,
+    // mined and then released; its entries in top-value order
+    val capDropped = mutable.ArrayBuffer.empty[Map[String, Int]]
+    val deps = plans.flatMap { case (cond, cands) =>
+      val needed = cands.flatMap(c => Seq(c._1, c._2)).toSet
+      val entriesByVal = top(cond).map { case (v, tids) =>
+        val (es, _, dropped) = mine(ix.restrict(tids, needed), params, n, Some(trivial))
+        capDropped += dropped
+        (v, es)
+      }
       cands.flatMap { case (pat, b) =>
-        val rows = entriesByVal(cond).flatMap { case (v, es) =>
+        val rows = entriesByVal.flatMap { case (v, es) =>
           selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
-            .map(e => (v, e))
+            .map(Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v))) -> _)
         }
-        if (rows.isEmpty) None
-        else {
-          val coverage = rows.map(_._2.cntA).sum.toDouble / n
-          if (coverage < params.minCoverage) None
-          else {
-            val tableau = rows.map { case (v, e) =>
-              PTuple(
-                Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v)),
-                    pat -> cellFor(tokenized(pat), e.tokA, e.posA, e.fullA)),
-                Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
-            }
-            val lhs = Seq(cond, pat)
-            val generalized =
-              if (params.generalize)
-                Generalizer.generalizeMulti(df, cond, pat, b, rows.map(_._2),
-                                            tokenized, params)
-              else None
-            generalized match {
-              case Some(g) => Some(DiscoveredDep(lhs, b, g, isVariable = true, coverage, tableau.size))
-              case None    => Some(DiscoveredDep(lhs, b, PFD(lhs, Seq(b), tableau),
-                                                 isVariable = false, coverage, tableau.size))
-            }
-          }
-        }
+        report(Seq(cond, pat), b, rows, n, tokenized, params)(
+          Generalizer.generalizeMulti(df, cond, pat, b, _, tokenized, params))
       }
     }
-  }
-
-  /** The full-table `index` restricted to `slices`, keyed by slice number:
-    * a row is in slice i when its `cond` equals the slice's value, and is
-    * indexed there on the slice's `attrs` only. A row belongs to one slice
-    * per conditioner whose value it carries.
-    */
-  private[discovery] def sliceIndex(df: DataFrame, index: DataFrame, slices: Seq[Slice]): DataFrame = {
-    val memberOf = array(slices.zipWithIndex.map { case (s, i) =>
-      when(col(s.cond).cast("string") === s.value, lit(i))
-    }: _*)
-    val members = df.select(col(PFDCheck.TidCol) as "tid",
-                            explode(filter(memberOf, _.isNotNull)) as "slice")
-    val attrsOf = typedLit(slices.map(_.attrs))
-    index.filter(col("attr").isin(slices.flatMap(_.attrs).distinct: _*))
-      .join(members, "tid")
-      .filter(array_contains(element_at(attrsOf, col("slice") + 1), col("attr")))
+    logCapDropped(2, params, capDropped.toSeq)
+    deps
   }
 
   /** The `maxConditionValues` most frequent values (count ≥ K) of each of
-    * `attrs`, most frequent first, from one query over all attributes.
+    * `attrs`, most frequent first, each with the raw `__tid`s of the rows
+    * that carry it, from one query over all attributes.
     */
-  private def topValues(df: DataFrame, attrs: Seq[String],
-                        params: Params): Map[String, Seq[(String, Long)]] = {
+  private[discovery] def topValues(df: DataFrame, attrs: Seq[String],
+                                   params: Params): Map[String, Seq[(String, Seq[Long])]] = {
     val byCount = Window.partitionBy("attr").orderBy(col("count").desc, col("v").asc)
     df.select(explode(array(attrs.map(a =>
-        struct(lit(a) as "attr", col(a).cast("string") as "v")): _*)) as "av")
-      .select("av.attr", "av.v")
+        struct(lit(a) as "attr", col(a).cast("string") as "v",
+               col(PFDCheck.TidCol).cast("long") as "tid")): _*)) as "av")
+      .select("av.attr", "av.v", "av.tid")
       .filter(col("v").isNotNull)
-      .groupBy("attr", "v").count()
+      .groupBy("attr", "v").agg(collect_list("tid") as "tids")
+      .withColumn("count", size(col("tids")))
       .filter(col("count") >= params.minSupport)
       .withColumn("__r", row_number().over(byCount))
       .filter(col("__r") <= params.maxConditionValues)
       .collect()
-      .map(r => (r.getString(0), r.getInt(3), (r.getString(1), r.getLong(2))))
+      .map(r => (r.getString(0), r.getInt(4), (r.getString(1), r.getSeq[Long](2))))
       .groupBy(_._1)
       .map { case (a, vs) => a -> vs.sortBy(_._2).map(_._3).toSeq }
   }

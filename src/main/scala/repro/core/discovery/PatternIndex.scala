@@ -9,11 +9,13 @@ import scala.collection.mutable
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
   * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
   * columns, full value added as pos = -1) or a character offset (n-gram
-  * columns). Mining collects it to the driver once and interns it
-  * ([[Interned]]); `prune` applies the substring-pruning optimization of
-  * §4.4 there: among patterns of one attribute appearing in exactly the
-  * same set of tuples, only the most specific (longest) survives — 'Egypt'
-  * is kept over 'Egy' in Example 8.
+  * columns). Discovery collects it to the driver once and interns it
+  * ([[Interned]]); level 2 mines restrictions of that one interned index
+  * to its conditioning slices ([[Interned.restrict]]). `prune` applies the
+  * substring-pruning optimization of §4.4 to an interned index: among
+  * patterns of one attribute appearing in exactly the same set of tuples,
+  * only the most specific (longest) survives — 'Egypt' is kept over 'Egy'
+  * in Example 8.
   */
 object PatternIndex {
 
@@ -61,33 +63,54 @@ object PatternIndex {
               col("p._3") as "pos", col("p._4") as "full")
   }
 
-  /** The columns [[intern]] reads, in its order: slice (0 when `index` has
-    * no `slice` column), tid, attr, token, pos, full.
-    */
-  def columns(index: DataFrame): DataFrame = {
-    val slice = if (index.columns.contains("slice")) col("slice") else lit(0) as "slice"
-    index.select(slice, col("tid").cast(LongType), col("attr"), col("token"), col("pos"), col("full"))
-  }
+  /** The columns [[intern]] reads, in its order: tid, attr, token, pos, full. */
+  def columns(index: DataFrame): DataFrame =
+    index.select(col("tid").cast(LongType), col("attr"), col("token"), col("pos"), col("full"))
 
-  /** The collected index with dense ids: pattern i is (`slice(i)`,
-    * `attrNames(attr(i))`, `token(i)`, `pos(i)`), and its rows are
-    * `start(i) until start(i + 1)` of `tid` (dense tuple numbers) and
-    * `full`.
+  /** The collected index with dense ids: pattern i is
+    * (`attrNames(attr(i))`, `token(i)`, `pos(i)`), and its rows are
+    * `start(i) until start(i + 1)` of `tid` (dense tuple numbers, from
+    * `tupleOf` the raw `__tid`) and `full`.
     */
-  final class Interned(val slice: Array[Int], val attr: Array[Int], val attrNames: Array[String],
+  final class Interned(val attr: Array[Int], val attrNames: Array[String],
                        val token: Array[String], val pos: Array[Int],
-                       val start: Array[Int], val tid: Array[Int], val full: Array[Boolean]) {
-    def size: Int = slice.length
+                       val start: Array[Int], val tid: Array[Int], val full: Array[Boolean],
+                       tupleOf: mutable.LongMap[Int]) {
+    def size: Int = attr.length
+    /** Tuple numbers are `0 until nTuples`. */
+    def nTuples: Int = tupleOf.size
     def cnt(i: Int): Int = start(i + 1) - start(i)
     /** A pattern "is the full value" only if it is on every occurrence. */
     def isFull(i: Int): Boolean = (start(i) until start(i + 1)).forall(full)
     def attrName(i: Int): String = attrNames(attr(i))
+
+    /** This index on the tuples with raw `__tid`s `tids` and on `attrs`
+      * only, as if they alone had been indexed: patterns left with no rows
+      * are dropped. Tuple numbers, attribute ids and token strings are
+      * shared with this index.
+      */
+    def restrict(tids: Seq[Long], attrs: Set[String]): Interned = {
+      val member = new java.util.BitSet(nTuples)
+      for (t <- tids; u <- tupleOf.get(t)) member.set(u)
+      val pats = mutable.ArrayBuilder.make[Int]
+      val rows = mutable.ArrayBuilder.make[Int] // kept rows of this index, pattern by pattern
+      val starts = mutable.ArrayBuilder.make[Int]
+      starts += 0
+      for (i <- 0 until size if attrs(attrName(i))) {
+        val before = rows.length
+        for (k <- start(i) until start(i + 1)) if (member.get(tid(k))) rows += k
+        if (rows.length > before) { pats += i; starts += rows.length }
+      }
+      val (ids, ks) = (pats.result(), rows.result())
+      new Interned(ids.map(attr), attrNames, ids.map(token), ids.map(pos), starts.result(),
+                   ks.map(tid), ks.map(full), tupleOf)
+    }
   }
 
-  private final case class Key(slice: Int, attr: Int, token: String, pos: Int)
+  private final case class Key(attr: Int, token: String, pos: Int)
 
-  /** Intern rows of [[columns]]: one pattern id per (slice, attr, token,
-    * pos), rows grouped by pattern.
+  /** Intern rows of [[columns]]: one pattern id per (attr, token, pos),
+    * rows grouped by pattern.
     */
   def intern(rows: Array[Row]): Interned = {
     val n = rows.length
@@ -101,11 +124,11 @@ object PatternIndex {
     var r = 0
     while (r < n) {
       val row = rows(r)
-      val a = attrIds.getOrElseUpdate(row.getString(2), attrIds.size)
-      val k = Key(row.getInt(0), a, row.getString(3), row.getInt(4))
+      val a = attrIds.getOrElseUpdate(row.getString(1), attrIds.size)
+      val k = Key(a, row.getString(2), row.getInt(3))
       rowPat(r) = patIds.getOrElseUpdate(k, { keys += k; keys.size - 1 })
-      rowTid(r) = tidIds.getOrElseUpdate(row.getLong(1), tidIds.size)
-      rowFull(r) = row.getBoolean(5)
+      rowTid(r) = tidIds.getOrElseUpdate(row.getLong(0), tidIds.size)
+      rowFull(r) = row.getBoolean(4)
       r += 1
     }
     // counting sort of the rows by pattern
@@ -124,14 +147,14 @@ object PatternIndex {
     }
     val names = new Array[String](attrIds.size)
     attrIds.foreach { case (s, a) => names(a) = s }
-    new Interned(keys.map(_.slice).toArray, keys.map(_.attr).toArray, names,
-                 keys.map(_.token).toArray, keys.map(_.pos).toArray, start, tid, full)
+    new Interned(keys.map(_.attr).toArray, names, keys.map(_.token).toArray,
+                 keys.map(_.pos).toArray, start, tid, full, tidIds)
   }
 
   /** Patterns kept by [[prune]] (ids of an [[Interned]]), and how many
-    * patterns the cap dropped per (slice, attr) where it dropped any.
+    * patterns the cap dropped per attribute where it dropped any.
     */
-  final case class Pruned(kept: Array[Int], capDropped: Map[(Int, String), Int])
+  final case class Pruned(kept: Array[Int], capDropped: Map[String, Int])
 
   /** Length in code points, as Spark's `length`. */
   private[discovery] def cpLength(s: String): Int = s.codePointCount(0, s.length)
@@ -148,7 +171,7 @@ object PatternIndex {
     Integer.compare(a.length - i, b.length - i)
   }
 
-  /** Substring pruning and the pattern cap, per (slice, attr). Of patterns
+  /** Substring pruning and the pattern cap, per attribute. Of patterns
     * with exactly the same tid set the most specific survives (longest
     * token, then lowest pos, then lowest token); of the survivors the
     * `maxPatternsPerAttr` first by (cnt desc, length desc, token, pos) are
@@ -170,10 +193,10 @@ object PatternIndex {
       else if (ix.pos(i) != ix.pos(j)) ix.pos(i) < ix.pos(j)
       else cpCompare(ix.token(i), ix.token(j)) < 0
 
-    // one representative per class of equal tid sets within (slice, attr)
-    val reps = mutable.HashMap.empty[(Int, Int, Int, Int), List[Int]]
+    // one representative per class of equal tid sets within an attribute
+    val reps = mutable.HashMap.empty[(Int, Int, Int), List[Int]]
     for (i <- 0 until ix.size) {
-      val k = (ix.slice(i), ix.attr(i), ix.cnt(i), tidHash(i))
+      val k = (ix.attr(i), ix.cnt(i), tidHash(i))
       val candidates = reps.getOrElse(k, Nil)
       candidates.find(sameTids(_, i)) match {
         case Some(r) if moreSpecific(r, i) =>
@@ -188,11 +211,10 @@ object PatternIndex {
         val t = cpCompare(ix.token(i), ix.token(j))
         if (t != 0) t else Integer.compare(ix.pos(i), ix.pos(j))
       }
-    val perAttr = reps.values.flatten.toArray.groupBy(i => (ix.slice(i), ix.attr(i)))
+    val perAttr = reps.values.flatten.toArray.groupBy(ix.attr(_))
     val kept = perAttr.values.flatMap(_.sorted(byCnt).take(maxPatternsPerAttr)).toArray
     val dropped = perAttr.collect {
-      case ((s, a), ids) if ids.length > maxPatternsPerAttr =>
-        (s, ix.attrNames(a)) -> (ids.length - maxPatternsPerAttr)
+      case (a, ids) if ids.length > maxPatternsPerAttr => ix.attrNames(a) -> (ids.length - maxPatternsPerAttr)
     }
     Pruned(kept, dropped)
   }
@@ -200,22 +222,16 @@ object PatternIndex {
   /** Per-pattern statistics after substring pruning and the pattern cap,
     * computed by [[prune]] on the collected index.
     *
-    * Output columns: attr, token, pos, cnt, isFull. When `index` carries a
-    * `slice` column (level-2 conditioning slices), statistics, pruning and
-    * the cap of `maxPatternsPerAttr` are per (slice, attr) and `slice` leads
-    * the output, so each slice reads as if indexed alone.
+    * Output columns: attr, token, pos, cnt, isFull.
     */
   def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame = {
     val ix = intern(columns(index).collect())
-    val sliced = index.columns.contains("slice")
     val rows = prune(ix, maxPatternsPerAttr).kept.toSeq.map { i =>
-      val stats = Seq(ix.attrName(i), ix.token(i), ix.pos(i), ix.cnt(i).toLong, ix.isFull(i))
-      Row.fromSeq(if (sliced) ix.slice(i) +: stats else stats)
+      Row(ix.attrName(i), ix.token(i), ix.pos(i), ix.cnt(i).toLong, ix.isFull(i))
     }
-    val fields = Seq(StructField("attr", StringType), StructField("token", StringType),
-                     StructField("pos", IntegerType), StructField("cnt", LongType),
-                     StructField("isFull", BooleanType))
-    val schema = StructType(if (sliced) StructField("slice", IntegerType) +: fields else fields)
+    val schema = StructType(Seq(StructField("attr", StringType), StructField("token", StringType),
+                                StructField("pos", IntegerType), StructField("cnt", LongType),
+                                StructField("isFull", BooleanType)))
     index.sparkSession.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
   }
 }

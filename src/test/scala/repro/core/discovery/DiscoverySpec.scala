@@ -1,8 +1,10 @@
 package repro.core.discovery
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
+import repro.core.detect.ErrorDetector
 import repro.data.DirtyData
 
 /** The discovery algorithm of Fig. 4 end-to-end, on the paper's Example 8
@@ -174,47 +176,52 @@ class DiscoverySpec extends SparkSpec {
   }
 
   // ------------------------------------------------------------------
-  // One mining query for all attributes and conditioning slices.
+  // One index collect per discovery; level 2 mines slices of it.
   // ------------------------------------------------------------------
 
-  test("one mining call over 9 slices of T7 equals mining each slice alone") {
-    val t7 = DirtyData.table(spark, 7).df
+  test("mining 12 slices of T7's interned index equals each slice alone") {
+    // T7 plus a conditioner whose most frequent value, "--", has no letter
+    // or digit, so that the index has no full-value pattern for it
+    val t7 = DirtyData.table(spark, 7).df.withColumn("flag",
+      element_at(array(lit("--"), lit("x9"), lit("--"), lit("y8")),
+                 (pmod(col(PFDCheck.TidCol), lit(4)) + 1).cast("int")))
     // the cap binds for some (slice, attr) pairs and not for others
-    val params = Params(maxPatternsPerAttr = 5)
+    val params = Params(maxPatternsPerAttr = 5, maxConditionValues = 3)
     val quals = Profiler.profile(t7).filter(_.isQualitative)
-    val index = PatternIndex.build(t7, quals)
     val n = t7.count()
-    val trivial = Discovery.mineEntries(index.withColumn("slice", lit(0)), params, n, None)._2
+    val (ix, (_, trivial, _)) = Discovery.mineEntries(PatternIndex.build(t7, quals), params, n)
     assert(trivial.nonEmpty) // the constant "A-" id prefix
-    // 3 conditioners × 3 values, each slice mined on the other attributes
-    val slices = for {
-      cond <- Seq("assay_type", "organism", "year")
-      v <- t7.groupBy(cond).count().orderBy(desc("count"), asc(cond)).limit(3)
-             .collect().map(_.getString(0)).toSeq
-    } yield Discovery.Slice(cond, v, quals.map(_.name).filter(_ != cond))
-    val sliced = Discovery.sliceIndex(t7, index, slices)
-    val patterns = PatternIndex.prunedStats(sliced, Int.MaxValue).groupBy("slice", "attr").count()
-      .collect().map(_.getLong(2))
+    assert(!(0 until ix.size).exists(i => ix.attrName(i) == "flag" && ix.token(i) == "--"))
+    // 4 conditioners × 3 values, each slice mined on the other attributes
+    val conds = Seq("assay_type", "organism", "year", "flag")
+    val top = Discovery.topValues(t7, conds, params)
+    val slices = for (cond <- conds; (v, tids) <- top(cond))
+      yield (cond, v, ix.restrict(tids, quals.map(_.name).filter(_ != cond).toSet))
+    assert(slices.size == 12)
+    val patterns = slices.flatMap { case (_, _, s) =>
+      PatternIndex.prune(s, Int.MaxValue).kept.groupBy(s.attr(_)).values.map(_.length)
+    }
     assert(patterns.exists(_ > params.maxPatternsPerAttr) &&
            patterns.exists(_ <= params.maxPatternsPerAttr))
 
-    val together = Discovery.mineEntries(sliced, params, n, Some(trivial))._1
-    // single-slice calls are independent: run them concurrently
+    // single-slice indexes are independent: build and mine them concurrently
     import scala.concurrent.{Await, Future}
     import scala.concurrent.ExecutionContext.Implicits.global
     import scala.concurrent.duration._
-    val alone = Await.result(Future.traverse(slices) { s =>
+    val alone = Await.result(Future.traverse(slices) { case (cond, v, _) =>
       Future {
-        val rows = t7.filter(col(s.cond) === s.value)
-        Discovery.mineEntries(
-          PatternIndex.build(rows, quals.filter(q => s.attrs.contains(q.name)))
-            .withColumn("slice", lit(0)),
-          params, n, Some(trivial))._1.getOrElse(0, Seq.empty)
+        val rows = t7.filter(col(cond).cast("string") === v)
+        val index = PatternIndex.build(rows, quals.filter(_.name != cond))
+        PatternIndex.intern(PatternIndex.columns(index).collect())
       }
     }, 10.minutes)
-    slices.zip(alone).zipWithIndex.foreach { case ((s, es), i) =>
-      assert(es.nonEmpty, s"slice ${s.cond}=${s.value}")
-      assert(together.getOrElse(i, Seq.empty).toSet == es.toSet, s"slice ${s.cond}=${s.value}")
+    def counts(ix: PatternIndex.Interned) =
+      (0 until ix.size).map(i => (ix.attrName(i), ix.token(i), ix.pos(i)) -> ix.cnt(i)).toMap
+    slices.zip(alone).foreach { case ((cond, v, slice), own) =>
+      assert(counts(slice) == counts(own), s"slice $cond=$v")
+      val es = Discovery.mine(own, params, n, Some(trivial))._1
+      assert(es.nonEmpty, s"slice $cond=$v")
+      assert(Discovery.mine(slice, params, n, Some(trivial))._1.toSet == es.toSet, s"slice $cond=$v")
     }
   }
 
@@ -227,8 +234,7 @@ class DiscoverySpec extends SparkSpec {
       // some pair's cj equals floor(cntA·(1−δ)) < ceil(cntA·(1−δ))
       for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5),
                          Params(noise = 0.15, maxPatternsPerAttr = 12))) {
-        val entries = Discovery.mineEntries(index.withColumn("slice", lit(0)), params, n, None)
-          ._1.getOrElse(0, Seq.empty)
+        val entries = Discovery.mineEntries(index, params, n)._2._1
         assert(entries.nonEmpty)
         val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
         // stats with exact tid-set signatures; substring pruning and the cap
@@ -292,6 +298,46 @@ class DiscoverySpec extends SparkSpec {
       Discovery.discover(df, ex8params.copy(generalize = false))
       assert(df.storageLevel != org.apache.spark.storage.StorageLevel.NONE)
     } finally df.unpersist()
+  }
+
+  // ------------------------------------------------------------------
+  // Degenerate inputs: discovery with maxLhs = 2, then detection.
+  // ------------------------------------------------------------------
+
+  private def discoverAndDetect(df: DataFrame): (Seq[DiscoveredDep], Long) = {
+    val deps = Discovery.discover(df, Params(maxLhs = 2)).deps
+    (deps, ErrorDetector.detect(df, deps).count())
+  }
+
+  test("degenerate input: an empty table yields no deps and no flags") {
+    val empty = Seq.empty[(String, String, String)].toDF("name", "country", "gender")
+    assert(discoverAndDetect(empty) == ((Seq.empty, 0L)))
+  }
+  test("degenerate input: all-null column and empty slice change no dep") {
+    // zip → city, plus a city whose rows carry no zip: with the null column
+    // that city's level-2 slice has no pattern on the attributes it is mined on
+    val base = zipDf.union(Seq.fill(10)((null: String, "Springfield")).toDF("zip", "city"))
+    val withNull = base.withColumn("note", lit(null).cast("string"))
+    val (deps, flags) = discoverAndDetect(withNull)
+    assert(deps.exists(d => d.lhs == Seq("zip") && d.rhs == "city"))
+    assert((deps, flags) == discoverAndDetect(base))
+  }
+  test("degenerate input: one qualitative column yields no deps") {
+    val df = (0 until 60).map(i => (s"John $i", i * 1.37)).toDF("name", "amount")
+    assert(discoverAndDetect(df) == ((Seq.empty, 0L)))
+  }
+  test("degenerate input: an integer conditioner with sparse __tids") {
+    // Table 6 three times over, so that the default K = 5 holds, with
+    // country as an integer code and __tid far from 0 until n
+    val rows = Seq.fill(3)(table6.as[(String, String, String)].collect().toSeq).flatten
+    val coded = rows.zipWithIndex.map { case ((name, country, gender), i) =>
+      (name, if (country == "Egypt") 20 else 967, gender, 1000L * i + 7)
+    }.toDF("name", "country", "gender", PFDCheck.TidCol)
+    val (deps, flags) = discoverAndDetect(coded)
+    assert(deps.exists(d => d.lhs.toSet == Set("name", "country") && d.rhs == "gender"))
+    def shape(ds: Seq[DiscoveredDep]) = ds.map(d => (d.lhs, d.rhs, d.isVariable, d.coverage, d.tableauSize))
+    val (named, namedFlags) = discoverAndDetect(rows.toDF("name", "country", "gender"))
+    assert(shape(deps) == shape(named) && flags == namedFlags)
   }
 
   // ------------------------------------------------------------------

@@ -77,7 +77,7 @@ class PatternIndexSpec extends SparkSpec {
     val perAttr = capped.groupBy("attr").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
     assert(perAttr.values.forall(_ <= 2))
-    // the patterns the cap dropped are counted, per (slice, attr)
+    // the patterns the cap dropped are counted, per attribute
     val dropped = PatternIndex.prune(PatternIndex.intern(PatternIndex.columns(index).collect()), 2)
       .capDropped.values.sum
     assert(dropped > 0)
