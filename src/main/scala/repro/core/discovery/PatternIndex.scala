@@ -92,11 +92,12 @@ object PatternIndex {
     def restrict(tids: Seq[Long], attrs: Set[String]): Interned = {
       val member = new java.util.BitSet(nTuples)
       for (t <- tids; u <- tupleOf.get(t)) member.set(u)
+      val keep = attrNames.map(attrs)
       val pats = mutable.ArrayBuilder.make[Int]
       val rows = mutable.ArrayBuilder.make[Int] // kept rows of this index, pattern by pattern
       val starts = mutable.ArrayBuilder.make[Int]
       starts += 0
-      for (i <- 0 until size if attrs(attrName(i))) {
+      for (i <- 0 until size if keep(attr(i))) {
         val before = rows.length
         for (k <- start(i) until start(i + 1)) if (member.get(tid(k))) rows += k
         if (rows.length > before) { pats += i; starts += rows.length }
