@@ -11,11 +11,11 @@ import scala.collection.mutable
   * columns, full value added as pos = -1) or a character offset (n-gram
   * columns). Discovery collects it to the driver once and interns it
   * ([[Interned]]); level 2 mines restrictions of that one interned index
-  * to its conditioning slices ([[Interned.restrict]]). `prune` applies the
-  * substring-pruning optimization of §4.4 to an interned index: among
-  * patterns of one attribute appearing in exactly the same set of tuples,
-  * only the most specific (longest) survives — 'Egypt' is kept over 'Egy'
-  * in Example 8.
+  * to the tuples of each conditioning value ([[Interned.restrict]]).
+  * `prune` applies the substring-pruning optimization of §4.4 to an
+  * interned index: among patterns of one attribute appearing in exactly
+  * the same set of tuples, only the most specific (longest) survives —
+  * 'Egypt' is kept over 'Egy' in Example 8.
   */
 object PatternIndex {
 
