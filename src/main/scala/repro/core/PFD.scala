@@ -214,13 +214,16 @@ object PFDCheck {
       majority(df, Seq(pfd), _ => true)
         .filter(col("tot") > 1 && (col("rk").isNull || col("c") < col("tot"))).isEmpty
 
-  /** One row (matched, violations) for a candidate PFD: the tuples that
-    * participate in a tableau row, and those off their group's majority RHS
-    * key: failing the RHS cell or holding another key (a tie counts one
-    * side). Lazy: the caller runs the action.
+  /** One row (pfd, matched, violations) per candidate PFD of `pfds`, from
+    * one majority query grouped by `pfd` (the index into `pfds`): the tuples
+    * that participate in a tableau row, and those off their group's
+    * majority RHS key: failing the RHS cell or holding another key (a tie
+    * counts one side). A PFD that no tuple matches has no row. Lazy: the
+    * caller runs the action.
     */
-  def validation(df: DataFrame, pfd: PFD): DataFrame =
-    majority(df, Seq(pfd), _ => true)
+  def validation(df: DataFrame, pfds: Seq[PFD]): DataFrame =
+    majority(df, pfds, _ => true)
+      .groupBy("pfd")
       .agg(count(lit(1)) as "matched",
            count(when(col("rk").isNull || col("rk") =!= col("majk"), 1)) as "violations")
 }

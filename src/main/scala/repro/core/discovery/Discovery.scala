@@ -63,12 +63,14 @@ final case class DiscoveryResult(
   * covers ≥ (1−δ)·|tids(p_A)| of them → greedy tableau selection (drop extensions of
   * already-selected patterns, keep the modal position — the single-semantics
   * optimization of §4.4) → report the dependency when the tableau covers ≥ γ
-  * of the records → try to generalize the constant tableau to a variable PFD.
-  * Level-2 of the attribute lattice conditions on frequent values of the
-  * partner attribute (Example 8) after pruning pairs whose children already
-  * produced a dependency, and mines each conditioning slice as level 1's
-  * interned index restricted to the slice's tuples. The index is collected
-  * once per discovery, whatever the number of attributes and slices.
+  * of the records → build the candidate variable PFD that generalizes the
+  * constant tableau. Level-2 of the attribute lattice conditions on
+  * frequent values of the partner attribute (Example 8) after pruning pairs
+  * whose children already produced a dependency, and mines each
+  * conditioning slice as level 1's interned index restricted to the
+  * slice's tuples. The index is collected once per discovery, whatever the
+  * number of attributes and slices, and the candidates of both levels are
+  * validated together in one query.
   */
 object Discovery {
 
@@ -85,21 +87,34 @@ object Discovery {
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
     cached(PFDCheck.withTid(df0)) { df =>
-      val n = df.count()
-      val profiles = Profiler.profile(df)
-      val quals = profiles.filter(_.isQualitative)
-      val deps =
-        if (quals.size < 2) Seq.empty
-        else {
-          val index = PatternIndex.build(df, quals)
-          val (single, ix, trivial) = discoverLevel1(df, index, n, profiles, params)
-          val multi =
-            if (params.maxLhs >= 2) discoverLevel2(df, ix, n, profiles, params, single, trivial)
-            else Seq.empty
-          single ++ multi
-        }
-      DiscoveryResult(deps, profiles, (System.nanoTime() - t0) / 1000000L)
+      val (profiles, found) = dependencies(df, params)
+      DiscoveryResult(Generalizer.generalize(df, found, params), profiles,
+                      (System.nanoTime() - t0) / 1000000L)
     }
+  }
+
+  /** The column profiles of `df` (which carries `__tid`) and every
+    * dependency of levels 1 and 2 as its constant PFD, each with its
+    * candidate variable PFD when `params.generalize` asks for one. The
+    * candidates are not validated here: [[Generalizer.generalize]]
+    * validates those of a whole discovery in one query.
+    */
+  private[discovery] def dependencies(df: DataFrame, params: Params)
+      : (Seq[ColumnProfile], Seq[(DiscoveredDep, Option[PFD])]) = {
+    val n = df.count()
+    val profiles = Profiler.profile(df)
+    val quals = profiles.filter(_.isQualitative)
+    val found =
+      if (quals.size < 2) Seq.empty
+      else {
+        val index = PatternIndex.build(df, quals)
+        val (single, ix, trivial) = discoverLevel1(index, n, profiles, params)
+        val multi =
+          if (params.maxLhs >= 2) discoverLevel2(df, ix, n, profiles, params, single.map(_._1), trivial)
+          else Seq.empty
+        single ++ multi
+      }
+    (profiles, found)
   }
 
   /** Run `body` on `d` cached, and unpersist it afterwards even on failure.
@@ -116,15 +131,15 @@ object Discovery {
   // Level 1: single-LHS candidate dependencies A → B.
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel1(df: DataFrame, index: DataFrame, n: Long,
+  private[discovery] def discoverLevel1(index: DataFrame, n: Long,
                                         profiles: Seq[ColumnProfile], params: Params)
-      : (Seq[DiscoveredDep], PatternIndex.Interned, Set[(String, String, Int)]) = {
+      : (Seq[(DiscoveredDep, Option[PFD])], PatternIndex.Interned, Set[(String, String, Int)]) = {
     val (ix, (entries, trivial, capDropped)) = mineEntries(index, params, n)
     logCapDropped(1, params, Seq(capDropped))
     val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
     val deps = entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
       val rows = selectTableau(es, tokenized(a)).map(Map.empty[String, Cell] -> _)
-      report(Seq(a), b, rows, n, tokenized, params)(Generalizer.generalize(df, a, b, _, tokenized, params))
+      report(Seq(a), b, rows, n, tokenized, params)
     }
     (deps, ix, trivial)
   }
@@ -236,12 +251,12 @@ object Discovery {
 
   /** Report lhs → b when the selected tableau `rows` (each an entry with
     * the constant cells of its conditioning attributes) covers ≥ γ of the
-    * `n` records; as the variable PFD that `generalize` finds from the
-    * entries, if any, or else as the constant PFD.
+    * `n` records: as the constant PFD, with the candidate variable PFD that
+    * [[Generalizer.candidate]] builds from the entries, if any.
     */
   private def report(lhs: Seq[String], b: String, rows: Seq[(Map[String, Cell], Entry)], n: Long,
-                     tokenized: Map[String, Boolean], params: Params)
-                    (generalize: Seq[Entry] => Option[PFD]): Option[DiscoveredDep] = {
+                     tokenized: Map[String, Boolean],
+                     params: Params): Option[(DiscoveredDep, Option[PFD])] = {
     val a = lhs.last // the pattern-bearing attribute
     val coverage = rows.map(_._2.cntA).sum.toDouble / n
     if (rows.isEmpty || coverage < params.minCoverage) None
@@ -250,9 +265,10 @@ object Discovery {
         PTuple(conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
                Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
       }
-      val g = if (params.generalize) generalize(rows.map(_._2)) else None
-      Some(DiscoveredDep(lhs, b, g.getOrElse(PFD(lhs, Seq(b), tableau)), g.isDefined, coverage,
-                         tableau.size))
+      val candidate =
+        if (params.generalize) Generalizer.candidate(lhs, b, rows.map(_._2), tokenized) else None
+      Some((DiscoveredDep(lhs, b, PFD(lhs, Seq(b), tableau), isVariable = false, coverage,
+                          tableau.size), candidate))
     }
   }
 
@@ -325,7 +341,8 @@ object Discovery {
   private[discovery] def discoverLevel2(df: DataFrame, ix: PatternIndex.Interned, n: Long,
                                         profiles: Seq[ColumnProfile], params: Params,
                                         found: Seq[DiscoveredDep],
-                                        trivial: Set[(String, String, Int)]): Seq[DiscoveredDep] = {
+                                        trivial: Set[(String, String, Int)])
+      : Seq[(DiscoveredDep, Option[PFD])] = {
     val quals = profiles.filter(_.isQualitative)
     val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
     val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
@@ -373,8 +390,7 @@ object Discovery {
           selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
             .map(Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v))) -> _)
         }
-        report(Seq(cond, pat), b, rows, n, tokenized, params)(
-          Generalizer.generalizeMulti(df, cond, pat, b, _, tokenized, params))
+        report(Seq(cond, pat), b, rows, n, tokenized, params)
       }
     }
     logCapDropped(2, params, capDropped.toSeq)

@@ -9,9 +9,13 @@ import repro.core._
   * over the generalization tree that represents all LHS constrained tokens
   * (`\LU\LL*` for {Tayseer, Noor, Esmat}), apply it to *all* values of the
   * attribute — including those below the minimum support — and accept the
-  * variable PFD iff the violation ratio stays below δ.
+  * variable PFD iff the violation ratio stays below δ. Discovery builds the
+  * candidate of every dependency first ([[candidate]], levels 1 and 2) and
+  * then validates them all in one majority query ([[generalize]]).
   */
 object Generalizer {
+
+  private val log = org.slf4j.LoggerFactory.getLogger(getClass)
 
   /** Most specific single pattern covering all of `ss` obtainable from the
     * generalization tree: each string is compressed to runs of base classes;
@@ -84,39 +88,23 @@ object Generalizer {
     }
   }
 
-  /** Try to generalize the constant tableau of the single-LHS dependency
-    * A → B. Returns the validated variable PFD, or None.
+  /** The candidate variable PFD of the constant dependency lhs → b whose
+    * tableau entries are `selected`, or None when their LHS constants share
+    * no shape. The last LHS attribute carries the generalized shape; a
+    * level-2 conditioning attribute becomes a wildcard (match anything,
+    * agree on value) — Example 8's λ: ([name = \LU\LL*\ \A*, country] →
+    * [gender]). Runs no Spark work; [[generalize]] validates.
     */
-  def generalize(df: DataFrame, a: String, b: String,
-                 selected: Seq[Discovery.Entry],
-                 tokenized: Map[String, Boolean],
-                 params: Params): Option[PFD] = {
+  def candidate(lhs: Seq[String], b: String, selected: Seq[Discovery.Entry],
+                tokenized: Map[String, Boolean]): Option[PFD] = {
     if (selected.map(_.tokA).distinct.size < 2) return None // one constant is not a shape
+    val a = lhs.last
     for {
       gL <- generalizeStrings(selected.map(_.tokA))
       lhsCell <- generalCellFor(tokenized(a), gL, selected.head.posA, selected.forall(_.fullA))
       rhsCell <- rhsCellFor(selected, tokenized(b))
-      pfd <- validate(df, Map(a -> lhsCell), b, rhsCell, Seq(a), params)
-    } yield pfd
-  }
-
-  /** Generalize a level-2 dependency {cond, pat} → B: the conditioning
-    * attribute becomes a wildcard (match anything, agree on value), the
-    * pattern attribute carries the generalized shape — Example 8's
-    * λ: ([name = \LU\LL*\ \A*, country] → [gender]).
-    */
-  def generalizeMulti(df: DataFrame, cond: String, pat: String, b: String,
-                      selected: Seq[Discovery.Entry],
-                      tokenized: Map[String, Boolean],
-                      params: Params): Option[PFD] = {
-    if (selected.map(_.tokA).distinct.size < 2) return None
-    for {
-      gL <- generalizeStrings(selected.map(_.tokA))
-      lhsCell <- generalCellFor(tokenized(pat), gL, selected.head.posA, selected.forall(_.fullA))
-      rhsCell <- rhsCellFor(selected, tokenized(b))
-      pfd <- validate(df, Map(cond -> Wildcard, pat -> lhsCell), b, rhsCell,
-                      Seq(cond, pat), params)
-    } yield pfd
+    } yield PFD(lhs, Seq(b),
+                Seq(PTuple(lhs.init.map(_ -> (Wildcard: Cell)).toMap + (a -> lhsCell), Map(b -> rhsCell))))
   }
 
   /** RHS cell of the variable PFD: full-value constants generalize to the
@@ -139,16 +127,49 @@ object Generalizer {
     }
   }
 
-  /** Apply the candidate variable row on the whole table; accept iff matched
-    * rows exist and the disagreement ratio is at most δ. The check's Spark
-    * action runs here, so traces charge it to generalization.
+  /** Generalize(ψ) for every dependency of a discovery, levels 1 and 2:
+    * each `found` constant dependency with its candidate variable PFD. All
+    * candidates are validated on the whole table in one query, the
+    * evidence is logged in one INFO line, and a dependency is reported as
+    * its variable PFD iff the candidate is accepted ([[accepts]]).
     */
-  private def validate(df: DataFrame, lhsCells: Map[String, Cell], b: String,
-                       rhsCell: Cell, lhsAttrs: Seq[String],
-                       params: Params): Option[PFD] = {
-    val pfd = PFD(lhsAttrs, Seq(b), Seq(PTuple(lhsCells, Map(b -> rhsCell))))
-    val counts = PFDCheck.validation(df, pfd).head()
-    val (matched, violations) = (counts.getLong(0), counts.getLong(1))
-    Option.when(matched > 0 && violations <= params.noise * matched)(pfd)
+  def generalize(df: DataFrame, found: Seq[(DiscoveredDep, Option[PFD])],
+                 params: Params): Seq[DiscoveredDep] = {
+    val tried = found.collect { case (d, Some(c)) => (d, c) }
+    val evidence = tried.zip(validate(df, tried.map(_._2)))
+    if (evidence.nonEmpty)
+      log.info(s"generalization: δ = ${params.noise}, one query for ${evidence.size} candidates: " +
+        evidence.map { case ((d, _), (m, v)) =>
+          s"${d.lhs.mkString(",")} → ${d.rhs}: matched $m, violations $v, " +
+            (if (accepts((m, v), params)) "accepted" else "rejected")
+        }.mkString("; "))
+    val decided = evidence.iterator
+    found.map {
+      case (d, None) => d
+      case _ =>
+        val ((d, c), e) = decided.next()
+        if (accepts(e, params)) d.copy(pfd = c, isVariable = true) else d
+    }
+  }
+
+  /** (matched, violations) of each candidate on the whole table, from one
+    * majority query over all of them ([[PFDCheck.validation]]); a candidate
+    * that no tuple matches counts (0, 0). No candidate, no query. The
+    * Spark action runs here, so traces charge it to generalization.
+    */
+  private[discovery] def validate(df: DataFrame, candidates: Seq[PFD]): Seq[(Long, Long)] =
+    if (candidates.isEmpty) Seq.empty
+    else {
+      val counts = PFDCheck.validation(df, candidates).collect()
+        .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2)))).toMap
+      candidates.indices.map(counts.getOrElse(_, (0L, 0L)))
+    }
+
+  /** Accept a candidate iff it matches rows and the disagreement ratio
+    * violations / matched is at most δ.
+    */
+  private[discovery] def accepts(evidence: (Long, Long), params: Params): Boolean = {
+    val (matched, violations) = evidence
+    matched > 0 && violations <= params.noise * matched
   }
 }

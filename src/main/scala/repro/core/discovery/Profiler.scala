@@ -19,26 +19,29 @@ final case class ColumnProfile(
     name: String,
     isQualitative: Boolean,
     useTokenize: Boolean,
-    distinct: Long,
     nonNull: Long,
     avgLen: Double)
 
 object Profiler {
 
   /** Fraction of non-null values in `c` matching `rx` plus shape stats,
-    * computed in one DataFrame pass per table.
+    * computed in one aggregate per table with no sketches. The distinct
+    * value lengths of a column are counted exactly, as a bitmask with bit
+    * `min(length, 63)` set per non-null value, so lengths of 63 or more
+    * share one bit; the quantitative rule only asks whether more than 4
+    * lengths occur.
     */
   def profile(df: DataFrame): Seq[ColumnProfile] = {
     val cols = df.columns.filterNot(_ == repro.core.PFDCheck.TidCol).toSeq
     val aggs = cols.flatMap { c =>
       val s = col(c).cast(StringType)
+      val lengthBit = call_function("shiftleft", lit(1L), least(length(s), lit(63)))
       Seq(
         count(s) as s"${c}__n",
-        approx_count_distinct(s) as s"${c}__d",
         avg(length(s)) as s"${c}__len",
         avg(when(s.rlike("^[0-9]+$"), 1.0).otherwise(0.0)) as s"${c}__digits",
         avg(when(s.rlike("^-?[0-9]*\\.[0-9]+$"), 1.0).otherwise(0.0)) as s"${c}__float",
-        approx_count_distinct(length(s)) as s"${c}__lens",
+        bit_or(when(s.isNotNull, lengthBit)) as s"${c}__lens",
         avg(when(s.rlike("[^A-Za-z0-9]"), 1.0).otherwise(0.0)) as s"${c}__sep",
         avg(size(split(s, "[^A-Za-z0-9]+"))) as s"${c}__toks",
       )
@@ -52,7 +55,9 @@ object Profiler {
       val n = d(s"${c}__n").toLong
       val digits = d(s"${c}__digits")
       val isFloat = d(s"${c}__float")
-      val nLens = d(s"${c}__lens")
+      // a Long, not through `d`: a double keeps only 53 of the mask's 64 bits
+      val nLens = Option(row.getAs[java.lang.Long](s"${c}__lens"))
+        .fold(0)(m => java.lang.Long.bitCount(m))
       val avgLen = d(s"${c}__len")
       // Quantitative: decimal-valued, or all-digit with many distinct value
       // lengths (a count/measure). All-digit with few lengths is a code
@@ -61,7 +66,7 @@ object Profiler {
       // Tokenize when separators are pervasive and values are multi-token.
       val tokenize = d(s"${c}__sep") > 0.5 && d(s"${c}__toks") >= 1.8
       ColumnProfile(c, isQualitative = !quantitative, useTokenize = tokenize,
-        distinct = d(s"${c}__d").toLong, nonNull = n, avgLen = avgLen)
+        nonNull = n, avgLen = avgLen)
     }
   }
 }

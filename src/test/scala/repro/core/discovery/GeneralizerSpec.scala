@@ -1,7 +1,10 @@
 package repro.core.discovery
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
+import repro.data.DirtyData
 
 class GeneralizerSpec extends SparkSpec {
   import Generalizer._
@@ -69,6 +72,11 @@ class GeneralizerSpec extends SparkSpec {
 
   // ---------------- end-to-end validation ----------------
 
+  /** One dependency's candidate, validated on its own. */
+  private def generalizeAlone(df: DataFrame, a: String, b: String, entries: Seq[Discovery.Entry],
+                              tokenized: Map[String, Boolean], params: Params): Option[PFD] =
+    candidate(Seq(a), b, entries, tokenized).filter(c => accepts(validate(df, Seq(c)).head, params))
+
   test("a variable PFD is rejected when group disagreement exceeds δ") {
     import spark.implicits._
     // unisex world: every first name appears with both genders 50/50
@@ -78,7 +86,7 @@ class GeneralizerSpec extends SparkSpec {
     val entries = Seq(
       Discovery.Entry("name", "Kim", 0, 30, "gender", "M", 0, 15, fullB = true),
       Discovery.Entry("name", "Alex", 0, 30, "gender", "M", 0, 15, fullB = true))
-    val g = Generalizer.generalize(df, "name", "gender", entries,
+    val g = generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params(noise = 0.05))
     assert(g.isEmpty)
   }
@@ -90,7 +98,7 @@ class GeneralizerSpec extends SparkSpec {
     val entries = Seq(
       Discovery.Entry("name", "John", 0, 30, "gender", "M", 0, 30, fullB = true),
       Discovery.Entry("name", "Susan", 0, 30, "gender", "F", 0, 30, fullB = true))
-    val g = Generalizer.generalize(df, "name", "gender", entries,
+    val g = generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params(noise = 0.05))
     assert(g.isDefined)
     assert(g.get.tableau.head.rhsCells("gender") == Wildcard)
@@ -100,7 +108,55 @@ class GeneralizerSpec extends SparkSpec {
     val df = repro.core.PFDCheck.withTid(
       (0 until 10).map(i => (s"John A$i", "M")).toDF("name", "gender"))
     val entries = Seq(Discovery.Entry("name", "John", 0, 10, "gender", "M", 0, 10))
-    assert(Generalizer.generalize(df, "name", "gender", entries,
+    assert(generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params()).isEmpty)
+  }
+
+  // ---------------- one validation query per discovery ----------------
+
+  test("batched validation on T13 equals each candidate validated alone") {
+    val t13 = DirtyData.table(spark, 13, scale = 0.01).df
+    val candidates = Discovery.dependencies(t13, Params(maxLhs = 2))._2.flatMap(_._2)
+    val batched = validate(t13, candidates)
+    assert(batched == candidates.map(c => validate(t13, Seq(c)).head))
+    val decisions = batched.map(accepts(_, Params()))
+    assert(decisions.contains(true) && decisions.contains(false))
+  }
+
+  test("a candidate that matches no row is rejected; later ones keep their results") {
+    import spark.implicits._
+    val rows = (0 until 30).map(i => (s"John A$i", "M")) ++
+               (0 until 30).map(i => (s"Susan B$i", "F"))
+    val df = PFDCheck.withTid(rows.toDF("name", "gender"))
+    val byFirstName = generalCellFor(isTokenized = true, Pattern.parse("\\LU\\LL+"), 0).get
+    def pfd(a: String, ca: Cell, b: String) = PFD(Seq(a), Seq(b), Seq(PTuple(Map(a -> ca), Map(b -> Wildcard))))
+    val candidates = Seq(
+      pfd("gender", Wildcard, "name"),                                        // fails
+      pfd("name", Cell(ConstrainedPattern.wholeLiteral("Nobody")), "gender"), // matches no row
+      pfd("name", byFirstName, "gender"),                                     // holds
+      pfd("name", Discovery.cellFor(isTokenized = true, "Susan", 0), "gender"), // holds, fewer rows
+      pfd("gender", Cell(ConstrainedPattern.wholeLiteral("F")), "name"))      // fails, fewer rows
+    val batched = validate(df, candidates)
+    assert(batched == candidates.map(c => validate(df, Seq(c)).head))
+    assert(batched(1) == ((0L, 0L)) && batched(2) == ((60L, 0L)) && batched(3) == ((30L, 0L)))
+    assert(batched(0)._1 == 60 && batched(4)._1 == 30)
+    val found = candidates.map(c => (DiscoveredDep(c.lhs, c.rhs.head, c, isVariable = false, 1.0, 1), Some(c)))
+    assert(Generalizer.generalize(df, found, Params()).map(_.isVariable) ==
+           Seq(false, false, true, true, false))
+  }
+
+  test("generalization adds as many Spark jobs for 2 candidates as for 12") {
+    import spark.implicits._
+    val base = PFDCheck.withTid(((0 until 30).map(i => (s"John A$i", "M")) ++
+      (0 until 30).map(i => (s"Susan B$i", "F"))).toDF("name", "gender"))
+    // the first name's initial and a title by gender: more dependencies, each with a candidate
+    val wider = base
+      .withColumn("initial", substring(col("name"), 1, 1))
+      .withColumn("title", when(col("gender") === "M", "Mr").otherwise("Ms"))
+    def candidates(df: DataFrame) = Discovery.dependencies(df, Params())._2.count(_._2.isDefined)
+    assert(candidates(base) == 2 && candidates(wider) == 12)
+    def added(df: DataFrame) = countJobs(Discovery.discover(df, Params())) -
+      countJobs(Discovery.discover(df, Params(generalize = false)))
+    assert(added(base) > 0 && added(wider) == added(base))
   }
 }

@@ -35,13 +35,37 @@ class ProfilerSpec extends SparkSpec {
   test("single-char categoricals are qualitative n-gram columns") {
     assert(profiles("gender").isQualitative && !profiles("gender").useTokenize)
   }
-  test("profile counts rows and distincts") {
+  test("profile counts non-null values") {
     assert(profiles("gender").nonNull == 200)
-    assert(profiles("gender").distinct == 1)
-    assert(profiles("name").distinct > 100)
   }
   test("the __tid column is never profiled") {
     val withTid = repro.core.PFDCheck.withTid(df)
     assert(!Profiler.profile(withTid).exists(_.name == repro.core.PFDCheck.TidCol))
+  }
+
+  // ---------------- distinct value lengths, counted exactly ----------------
+
+  /** Profiles of columns whose values cycle through `lengths` (digits only). */
+  private def digitColumns(lengths: Seq[Int]*): Map[String, ColumnProfile] = {
+    import spark.implicits._
+    val rows = (0 until 60).map(i => lengths.map(ls => "7" * ls(i % ls.size)))
+    val df = rows.map(r => (r(0), r(1))).toDF("c0", "c1")
+    Profiler.profile(df).map(p => p.name -> p).toMap
+  }
+
+  test("all-digit values: 4 distinct lengths stay qualitative, 5 are quantitative") {
+    val p = digitColumns(Seq(1, 2, 3, 4), Seq(1, 2, 3, 4, 5))
+    assert(p("c0").isQualitative && !p("c1").isQualitative)
+  }
+  test("lengths of 63 or more share one bit") {
+    val p = digitColumns(Seq(63, 64, 65, 80, 100), Seq(1, 2, 3, 4, 63, 64, 100))
+    assert(p("c0").isQualitative)  // one bit
+    assert(!p("c1").isQualitative) // five bits
+  }
+  test("an all-null column is profiled") {
+    import spark.implicits._
+    val df = (0 until 20).map(i => (s"A$i", null: String)).toDF("code", "note")
+    val note = Profiler.profile(df).find(_.name == "note").get
+    assert(note.nonNull == 0 && note.isQualitative && !note.useTokenize)
   }
 }
