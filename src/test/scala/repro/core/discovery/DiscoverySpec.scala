@@ -360,4 +360,24 @@ class DiscoverySpec extends SparkSpec {
     val kept = Discovery.selectTableau(es, isTokenized = true)
     assert(kept.forall(_.posA == 0))
   }
+
+  // ------------------------------------------------------------------
+  // Cells of mined constants: Table 3's shapes.
+  // ------------------------------------------------------------------
+
+  test("each mined constant gives its Table 3 cell shape") {
+    def cell(isTokenized: Boolean, token: String, pos: Int, isFull: Boolean = false): Cell =
+      Discovery.cellFor(isTokenized, token, pos, isFull)
+    val prefix = cell(isTokenized = false, "900", 0)
+    assert(prefix.render == "⟨900⟩\\A*")
+    assert(prefix.matches("90012") && !prefix.matches("19001"))
+    assert(cell(isTokenized = false, "CA", 0, isFull = true).render == "⟨CA⟩")
+    val first = cell(isTokenized = true, "John", 0)
+    assert(first.render == "⟨John⟩ ∪ ⟨John⟩\\S\\A*")
+    assert(first.matches("John Smith") && !first.matches("Johnson"))
+    assert(cell(isTokenized = true, "John", 2).render ==
+      "\\A*\\S⟨John⟩ ∪ \\A*\\S⟨John⟩\\S\\A*")
+    assert(cell(isTokenized = true, "John Smith", PatternIndex.FullValuePos).render ==
+      "⟨John\\ Smith⟩")
+  }
 }
