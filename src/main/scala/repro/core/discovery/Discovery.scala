@@ -262,8 +262,8 @@ object Discovery {
     if (rows.isEmpty || coverage < params.minCoverage) None
     else {
       val tableau = rows.map { case (conditioning, e) =>
-        PTuple(conditioning + (a -> cellFor(tokenized(a), e.tokA, e.posA, e.fullA)),
-               Map(b -> cellFor(tokenized(b), e.tokB, e.posB, e.fullB)))
+        PTuple(conditioning + (a -> cellFor(tokenized(a), Pattern.lit(e.tokA), e.posA, e.fullA)),
+               Map(b -> cellFor(tokenized(b), Pattern.lit(e.tokB), e.posB, e.fullB)))
       }
       val candidate =
         if (params.generalize) Generalizer.candidate(lhs, b, rows.map(_._2), tokenized) else None
@@ -291,8 +291,8 @@ object Discovery {
   }
 
   /** Whether `e`'s LHS pattern is an extension of selected `s` (so that
-    * tids(e) ⊆ tids(s)). For n-gram positions: substring at consistent
-    * character offsets; for tokenized: `s` a token of the full value `e`.
+    * tids(e) ⊆ tids(s)). For n-gram prefixes: `s` a prefix of `e`; for
+    * tokenized: `s` a token of the full value `e`.
     */
   private def extendsPattern(e: Entry, s: Entry, isTokenized: Boolean): Boolean = {
     if (isTokenized) {
@@ -300,37 +300,33 @@ object Discovery {
       else if (e.posA == PatternIndex.FullValuePos && s.posA >= 0)
         Tokenizer.tokens(e.tokA).exists(t => t.token == s.tokA && t.pos == s.posA)
       else false
-    } else {
-      val off = s.posA - e.posA
-      off >= 0 && off + s.tokA.length <= e.tokA.length &&
-        e.tokA.regionMatches(off, s.tokA, 0, s.tokA.length)
-    }
+    } else e.tokA.startsWith(s.tokA)
   }
 
-  /** Constrained-pattern cell for a mined (token, pos) (see Table 3 for the
-    * shapes this mirrors: `900\D{2}`-style offsets for n-gram columns,
-    * `\A*,\ Donald\A*`-style boundary-guarded tokens for tokenized ones).
-    * Tokenized cells carry two alternatives — token-at-end and
-    * token-followed-by-separator — so 'John' never matches inside 'Johnson'.
+  /** Whether the cell of a mined (pos, full) constrains the whole value. */
+  private[discovery] def isWhole(isTokenized: Boolean, pos: Int, isFull: Boolean): Boolean =
+    isFull || (isTokenized && pos == PatternIndex.FullValuePos)
+
+  /** The cell of pattern `p` mined at `pos` — the one builder of Table 3's
+    * shapes. The whole value when [[isWhole]]; `⟨p⟩\A*` for an n-gram
+    * prefix (`⟨\D{3}⟩\A*`); for a token, `p` at the start (`pos` 0) or
+    * after `\A*\S`, then at the end or before `\S\A*`, as two alternatives
+    * (`\A*,\ ⟨Donald⟩\A*`), so 'John' never matches inside 'Johnson'.
+    * Constant cells pass `Pattern.lit(token)`; Generalize(ψ) passes the
+    * generalized pattern ([[Generalizer.generalCellFor]]).
     */
-  private[discovery] def cellFor(isTokenized: Boolean, token: String, pos: Int,
+  private[discovery] def cellFor(isTokenized: Boolean, p: Pattern, pos: Int,
                                  isFull: Boolean = false): Cell = {
     import CharClass._
-    if (isFull) {
-      Cell(ConstrainedPattern.wholeLiteral(token))
-    } else if (!isTokenized) {
-      val pre = if (pos == 0) Pattern.Empty else Pattern.cls(AnyCh, Rep.Exactly(pos))
-      Cell(ConstrainedPattern(pre, Pattern.lit(token), Pattern.AnyStar))
-    } else if (pos == PatternIndex.FullValuePos) {
-      Cell(ConstrainedPattern.wholeLiteral(token))
-    } else {
+    if (isWhole(isTokenized, pos, isFull)) Cell(ConstrainedPattern(Pattern.Empty, p, Pattern.Empty))
+    else if (!isTokenized) Cell(ConstrainedPattern(Pattern.Empty, p, Pattern.AnyStar))
+    else {
       val pre =
         if (pos == 0) Pattern.Empty
         else Pattern(Vector(Cls(AnyCh, Rep.Star), Cls(Symbol, Rep.One)))
       Pats(List(
-        ConstrainedPattern(pre, Pattern.lit(token), Pattern.Empty),
-        ConstrainedPattern(pre, Pattern.lit(token),
-          Pattern(Vector(Cls(Symbol, Rep.One), Cls(AnyCh, Rep.Star))))))
+        ConstrainedPattern(pre, p, Pattern.Empty),
+        ConstrainedPattern(pre, p, Pattern(Vector(Cls(Symbol, Rep.One), Cls(AnyCh, Rep.Star))))))
     }
   }
 

@@ -50,42 +50,24 @@ object Generalizer {
     Some(Pattern(elems))
   }
 
-  /** Lift the generalized pattern into a cell with the same positional /
-    * boundary shape as the constant cells it replaces.
+  /** The cell of the generalized pattern `g` in the shape of the constant
+    * cells it replaces ([[Discovery.cellFor]]), if `g` fits that shape.
+    * Whole values always fit. An n-gram prefix must be fixed-length, or
+    * greedy extraction would swallow beyond the mined prefix. A token must
+    * not be able to cross a separator, so that extraction stops at the
+    * token end.
     */
   private[discovery] def generalCellFor(isTokenized: Boolean, g: Pattern, pos: Int,
                                         isFull: Boolean = false): Option[Cell] = {
-    import CharClass._
-    if (isFull) {
-      Some(Cell(ConstrainedPattern(Pattern.Empty, g, Pattern.Empty)))
-    } else if (!isTokenized) {
-      // character offsets: the constrained region must be fixed-length, or
-      // greedy extraction would swallow beyond the mined prefix.
-      if (!g.isFixedLength) None
-      else {
-        val pre = if (pos == 0) Pattern.Empty else Pattern.cls(AnyCh, Rep.Exactly(pos))
-        Some(Cell(ConstrainedPattern(pre, g, Pattern.AnyStar)))
-      }
-    } else if (pos == PatternIndex.FullValuePos) {
-      Some(Cell(ConstrainedPattern(Pattern.Empty, g, Pattern.Empty)))
-    } else {
-      // token boundaries: the generalized pattern must not be able to cross
-      // a separator, so greedy extraction stops at the token end.
-      val crossesSep = g.elems.exists {
-        case Cls(c, _) => c == AnyCh || c == Symbol
-        case _         => false
-      }
-      if (crossesSep) None
-      else {
-        val pre =
-          if (pos == 0) Pattern.Empty
-          else Pattern(Vector(Cls(AnyCh, Rep.Star), Cls(Symbol, Rep.One)))
-        Some(Pats(List(
-          ConstrainedPattern(pre, g, Pattern.Empty),
-          ConstrainedPattern(pre, g,
-            Pattern(Vector(Cls(Symbol, Rep.One), Cls(AnyCh, Rep.Star)))))))
-      }
+    def crossesSep = g.elems.exists {
+      case Cls(c, _) => c == CharClass.AnyCh || c == CharClass.Symbol
+      case _         => false
     }
+    val fits =
+      if (Discovery.isWhole(isTokenized, pos, isFull)) true
+      else if (isTokenized) !crossesSep
+      else g.isFixedLength
+    Option.when(fits)(Discovery.cellFor(isTokenized, g, pos, isFull))
   }
 
   /** The candidate variable PFD of the constant dependency lhs → b whose

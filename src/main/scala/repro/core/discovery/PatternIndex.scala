@@ -8,8 +8,8 @@ import scala.collection.mutable
 
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
   * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
-  * columns, full value added as pos = -1) or a character offset (n-gram
-  * columns). Discovery collects it to the driver once and interns it
+  * columns, full value added as pos = -1) or 0 (n-gram columns, whose
+  * n-grams are all prefixes). Discovery collects it to the driver once and interns it
   * ([[Interned]]); level 2 mines restrictions of that one interned index
   * to the tuples of each conditioning value ([[Interned.restrict]]).
   * `prune` applies the substring-pruning optimization of §4.4 to an

@@ -19,8 +19,7 @@ final case class ColumnProfile(
     name: String,
     isQualitative: Boolean,
     useTokenize: Boolean,
-    nonNull: Long,
-    avgLen: Double)
+    nonNull: Long)
 
 object Profiler {
 
@@ -38,7 +37,6 @@ object Profiler {
       val lengthBit = call_function("shiftleft", lit(1L), least(length(s), lit(63)))
       Seq(
         count(s) as s"${c}__n",
-        avg(length(s)) as s"${c}__len",
         avg(when(s.rlike("^[0-9]+$"), 1.0).otherwise(0.0)) as s"${c}__digits",
         avg(when(s.rlike("^-?[0-9]*\\.[0-9]+$"), 1.0).otherwise(0.0)) as s"${c}__float",
         bit_or(when(s.isNotNull, lengthBit)) as s"${c}__lens",
@@ -58,15 +56,13 @@ object Profiler {
       // a Long, not through `d`: a double keeps only 53 of the mask's 64 bits
       val nLens = Option(row.getAs[java.lang.Long](s"${c}__lens"))
         .fold(0)(m => java.lang.Long.bitCount(m))
-      val avgLen = d(s"${c}__len")
       // Quantitative: decimal-valued, or all-digit with many distinct value
       // lengths (a count/measure). All-digit with few lengths is a code
       // (zip = 5 or 9 digits, phone = 10) and stays qualitative (§5.4).
       val quantitative = isFloat > 0.5 || (digits > 0.9 && nLens > 4)
       // Tokenize when separators are pervasive and values are multi-token.
       val tokenize = d(s"${c}__sep") > 0.5 && d(s"${c}__toks") >= 1.8
-      ColumnProfile(c, isQualitative = !quantitative, useTokenize = tokenize,
-        nonNull = n, avgLen = avgLen)
+      ColumnProfile(c, isQualitative = !quantitative, useTokenize = tokenize, nonNull = n)
     }
   }
 }

@@ -9,9 +9,9 @@ package repro.core.discovery
 object Tokenizer {
 
   /** A mined partial value: the substring, its position (token index for
-    * `tokens`, character offset for `prefixes`), and whether anything follows
-    * it in the original value (token boundary information used when the
-    * pattern is turned into a constrained pattern).
+    * `tokens`; 0 for `prefixes`, which all start the value), and whether
+    * anything follows it in the original value (token boundary information
+    * used when the pattern is turned into a constrained pattern).
     */
   final case class Part(token: String, pos: Int, atEnd: Boolean)
 

@@ -119,8 +119,6 @@ object Domains {
     ("PH", "Physics"), ("MA", "Mathematics"), ("EC", "Economics"),
     ("HI", "History"), ("PS", "Psychology"))
 
-  val deptCodeToName: Map[String, String] = deptCodes.toMap
-
   /** federal agency code → agency name. */
   val agencies: Vector[(String, String)] = Vector(
     ("047", "General Services Administration"), ("036", "Department of Veterans Affairs"),

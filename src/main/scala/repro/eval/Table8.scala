@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.{DataFrame, Row => SRow, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import scala.util.Random
-import repro.core.{PFDCheck, Pats}
+import repro.core.{Cell, PFDCheck, Pats}
 import repro.core.discovery.{Discovery, Params}
 import repro.data.Domains
 
@@ -43,56 +43,31 @@ object Table8 {
       schema)
   }
 
-  /** Constant tableau rows (lhsToken, rhsToken, support) of the discovered
-    * dependency a → b, straight from the miner (constant PFDs only — the
-    * paper's §5.2 restriction), plus the tableau's covered-row count.
+  /** Discover a → b on `rows` as constant PFDs only (the paper's §5.2
+    * restriction) and score it: # PFDs is the tableau size, precision the
+    * share of tableau rows whose (LHS constant, RHS constant) the `oracle`
+    * accepts, and coverage the dependency's `DiscoveredDep.coverage` — the
+    * share of rows its tableau's LHS patterns match, which discovery checks
+    * against γ. No dependency: no PFDs and coverage 0.
     */
-  private def constantRules(df: DataFrame, a: String, b: String): Seq[(String, String, Long)] = {
-    val params = Params(minSupport = 5, noise = 0.05, minCoverage = 0.10,
-                        generalize = false)
-    val res = Discovery.discover(df, params)
-    res.deps.filter(d => d.lhs == Seq(a) && d.rhs == b).flatMap { d =>
-      d.pfd.tableau.flatMap { tp =>
-        for {
-          lTok <- cellToken(tp.lhsCells(a))
-          rTok <- cellToken(tp.rhsCells(b))
-        } yield (lTok, rTok, 0L)
+  private[eval] def measure(spark: SparkSession, dep: String, a: String, b: String,
+                            rows: IndexedSeq[(String, String)],
+                            oracle: (String, String) => Boolean): Row = {
+    val params = Params(minSupport = 5, noise = 0.05, minCoverage = 0.10, generalize = false)
+    Discovery.cached(twoColDf(spark, a, b, rows)) { df =>
+      val found = Discovery.discover(df, params).deps.find(d => d.lhs == Seq(a) && d.rhs == b)
+      val rules = found.toSeq.flatMap(_.pfd.tableau).flatMap { tp =>
+        for (l <- cellToken(tp.lhsCells(a)); r <- cellToken(tp.rhsCells(b))) yield (l, r)
       }
+      Row(dep, rules.size,
+          if (rules.isEmpty) Double.NaN else rules.count(oracle.tupled).toDouble / rules.size,
+          found.fold(0.0)(_.coverage))
     }
   }
 
-  private def cellToken(cell: repro.core.Cell): Option[String] = cell match {
+  private def cellToken(cell: Cell): Option[String] = cell match {
     case Pats(alts) => alts.headOption.flatMap(_.constrained.literalValue)
     case _          => None
-  }
-
-  private def evaluate(dep: String, rules: Seq[(String, String, Long)],
-                       oracle: (String, String) => Boolean,
-                       coveredRows: Long, total: Long): Row = {
-    val ok = rules.count { case (l, r, _) => oracle(l, r) }
-    Row(dep, rules.size,
-        if (rules.isEmpty) Double.NaN else ok.toDouble / rules.size,
-        coveredRows.toDouble / total)
-  }
-
-  private def coverage(df: DataFrame, a: String,
-                       rules: Seq[(String, String, Long)]): Long = {
-    import org.apache.spark.sql.functions._
-    val toks = rules.map(_._1).distinct
-    if (toks.isEmpty) 0L
-    else {
-      // a mined token covers a row if it appears as one of the row's parts
-      val covers = udf { s: String =>
-        s != null && {
-          val parts = repro.core.discovery.Tokenizer.tokens(s).map(_.token).toSet ++
-            (if (s.length <= 12) (0 until s.length).flatMap(i =>
-              (i + 1) to s.length map (j => s.substring(i, j))).toSet
-             else Set(s))
-          toks.exists(parts.contains)
-        }
-      }
-      df.filter(covers(col(a).cast("string"))).count()
-    }
   }
 
   private def nameGender(spark: SparkSession, n: Int, seed: Long): Row = {
@@ -107,13 +82,9 @@ object Table8 {
       val gender = if (rnd.nextDouble() < 0.01) (if (g == "M") "F" else "M") else g
       (s"$first ${Domains.lastNames(rnd.nextInt(Domains.lastNames.size))}", gender)
     }
-    val df = twoColDf(spark, "full_name", "gender", rows).cache()
-    val rules = constantRules(df, "full_name", "gender")
-    val cov = coverage(df, "full_name", rules)
     // oracle: gender-api stand-in; unisex names count as errors, as in §5.2
-    val r = evaluate("Full Name → Gender", rules,
-      (tok, g) => Domains.genderOf(tok).contains(g), cov, n)
-    df.unpersist(); r
+    measure(spark, "Full Name → Gender", "full_name", "gender", rows,
+      (tok, g) => Domains.genderOf(tok).contains(g))
   }
 
   private def faxState(spark: SparkSession, n: Int, seed: Long): Row = {
@@ -125,13 +96,9 @@ object Table8 {
         Domains.states(rnd.nextInt(Domains.states.size)) else st
       (area + Seq.fill(7)(rnd.nextInt(10)).mkString, state)
     }
-    val df = twoColDf(spark, "fax", "state", rows).cache()
-    val rules = constantRules(df, "fax", "state")
-    val cov = coverage(df, "fax", rules)
-    val r = evaluate("Fax → State", rules,
+    measure(spark, "Fax → State", "fax", "state", rows,
       (tok, st) => Domains.areaToState.get(tok.take(3)).contains(st) &&
-        Domains.areaToState.contains(tok.take(3)), cov, n)
-    df.unpersist(); r
+        Domains.areaToState.contains(tok.take(3)))
   }
 
   private def zipCity(spark: SparkSession, n: Int, seed: Long): Row = {
@@ -142,12 +109,8 @@ object Table8 {
         Domains.zipPrefixes(rnd.nextInt(Domains.zipPrefixes.size))._2 else city
       (zp + Seq.fill(2)(rnd.nextInt(10)).mkString, c)
     }
-    val df = twoColDf(spark, "zip", "city", rows).cache()
-    val rules = constantRules(df, "zip", "city")
-    val cov = coverage(df, "zip", rules)
-    val r = evaluate("Zip → City", rules,
-      (tok, city) => Domains.zipToCity.get(tok.take(3)).contains(city), cov, n)
-    df.unpersist(); r
+    measure(spark, "Zip → City", "zip", "city", rows,
+      (tok, city) => Domains.zipToCity.get(tok.take(3)).contains(city))
   }
 
   def render(rows: Seq[Row]): String = {

@@ -367,7 +367,7 @@ class DiscoverySpec extends SparkSpec {
 
   test("each mined constant gives its Table 3 cell shape") {
     def cell(isTokenized: Boolean, token: String, pos: Int, isFull: Boolean = false): Cell =
-      Discovery.cellFor(isTokenized, token, pos, isFull)
+      Discovery.cellFor(isTokenized, Pattern.lit(token), pos, isFull)
     val prefix = cell(isTokenized = false, "900", 0)
     assert(prefix.render == "⟨900⟩\\A*")
     assert(prefix.matches("90012") && !prefix.matches("19001"))

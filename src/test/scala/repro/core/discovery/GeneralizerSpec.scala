@@ -134,7 +134,7 @@ class GeneralizerSpec extends SparkSpec {
       pfd("gender", Wildcard, "name"),                                        // fails
       pfd("name", Cell(ConstrainedPattern.wholeLiteral("Nobody")), "gender"), // matches no row
       pfd("name", byFirstName, "gender"),                                     // holds
-      pfd("name", Discovery.cellFor(isTokenized = true, "Susan", 0), "gender"), // holds, fewer rows
+      pfd("name", Discovery.cellFor(isTokenized = true, Pattern.lit("Susan"), 0), "gender"), // holds, fewer rows
       pfd("gender", Cell(ConstrainedPattern.wholeLiteral("F")), "name"))      // fails, fewer rows
     val batched = validate(df, candidates)
     assert(batched == candidates.map(c => validate(df, Seq(c)).head))

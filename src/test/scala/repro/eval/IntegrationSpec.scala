@@ -84,6 +84,17 @@ class IntegrationSpec extends SparkSpec {
     }
     assert(Table8.render(rows).nonEmpty)
   }
+  test("Table8.measure reports discovery's coverage: the token Ann does not cover DeAnna") {
+    val rows = (0 until 20).map(i => (s"Ann X$i", "F")) ++
+      (0 until 10).map(i => (s"DeAnna Y$i", if (i % 2 == 0) "F" else "M"))
+    // the suites share one session, and this one keeps its own T1 cached
+    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val r = Table8.measure(spark, "Full Name → Gender", "full_name", "gender", rows,
+      (tok, g) => tok == "Ann" && g == "F")
+    assert(r.nPfds == 1 && r.precision == 1.0)
+    assert(r.coverage == 20.0 / 30)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
+  }
   test("T8 (single genuine dep): PFD finds standard_type → standard_units") {
     val t = DirtyData.table(spark, 8, 0.05, seed = 4)
     val res = Discovery.discover(t.df, Params(minSupport = 5, noise = 0.05, minCoverage = 0.10))
