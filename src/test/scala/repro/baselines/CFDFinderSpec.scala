@@ -1,5 +1,6 @@
 package repro.baselines
 
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
 class CFDFinderSpec extends SparkSpec {
@@ -75,5 +76,13 @@ class CFDFinderSpec extends SparkSpec {
   }
   test("runtime is measured") {
     assert(CFDFinder.discover(zips).millis >= 0)
+  }
+  test("a failed discovery leaves no cached table behind") {
+    val boom = udf((s: String) => if (s == "60601") throw new IllegalStateException("boom") else s)
+    // repartitioned, so that the UDF runs in the cached table's first job
+    // rather than when the optimizer folds a projection of local rows
+    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    intercept[Exception](CFDFinder.discover(zips.repartition(2).withColumn("zip", boom(col("zip")))))
+    assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
   }
 }

@@ -49,6 +49,14 @@ class FDepSpec extends SparkSpec {
   test("runtime is measured") {
     assert(FDep.discover(clean).millis >= 0)
   }
+  test("a failed discovery leaves no cached table behind") {
+    val boom = udf((s: String) => if (s == "EE") throw new IllegalStateException("boom") else s)
+    // repartitioned, so that the UDF runs in the cached table's first job
+    // rather than when the optimizer folds a projection of local rows
+    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    intercept[Exception](FDep.discover(clean.repartition(2).withColumn("code", boom(col("code"))), maxLhs = 1))
+    assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
+  }
   test("Oracle cross-check: the FD-holds predicate matches SQL") {
     val maxDistinct = clean.groupBy("code")
       .agg(countDistinct(col("name")) as "d")
