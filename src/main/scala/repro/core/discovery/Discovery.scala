@@ -67,10 +67,11 @@ final case class DiscoveryResult(
   * constant tableau. Level-2 of the attribute lattice conditions on
   * frequent values of the partner attribute (Example 8) after pruning pairs
   * whose children already produced a dependency, and mines each
-  * conditioning slice as level 1's interned index restricted to the
-  * slice's tuples. The index is collected once per discovery, whatever the
-  * number of attributes and slices, and the candidates of both levels are
-  * validated together in one query.
+  * conditioning slice as the interned index restricted to the slice's
+  * tuples; level 1 is the lattice's root slice, the whole index with no
+  * conditioning value. The index is collected once per discovery, whatever
+  * the number of attributes and slices, and the candidates of both levels
+  * are validated together in one query.
   */
 object Discovery {
 
@@ -82,7 +83,7 @@ object Discovery {
     */
   final case class Entry(attrA: String, tokA: String, posA: Int, cntA: Long,
                          attrB: String, tokB: String, posB: Int, cj: Long,
-                         fullA: Boolean = false, fullB: Boolean = false)
+                         fullA: Boolean, fullB: Boolean)
 
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
@@ -97,7 +98,9 @@ object Discovery {
     * dependency of levels 1 and 2 as its constant PFD, each with its
     * candidate variable PFD when `params.generalize` asks for one. The
     * candidates are not validated here: [[Generalizer.generalize]]
-    * validates those of a whole discovery in one query.
+    * validates those of a whole discovery in one query. Level 1 mines the
+    * lattice's root slice, the whole index with no conditioning cell, and
+    * reports its pairs in (a, b) order.
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
       : (Seq[ColumnProfile], Seq[(DiscoveredDep, Option[PFD])]) = {
@@ -107,10 +110,20 @@ object Discovery {
     val found =
       if (quals.size < 2) Seq.empty
       else {
-        val index = PatternIndex.build(df, quals)
-        val (single, ix, trivial) = discoverLevel1(index, n, profiles, params)
+        val attrs = quals.map(_.name)
+        val tokenized = quals.map(p => p.name -> p.useTokenize).toMap
+        val ix = mineEntries(PatternIndex.build(df, quals))
+        val trivial = trivialPatterns(ix, params, n)
+        val (entries, capDropped) = mine(ix, params, trivial)
+        logCapDropped(1, params, Seq(capDropped))
+        val root = Seq(Map.empty[String, Cell] -> entries)
+        val single = for {
+          a <- attrs.sorted; b <- attrs.sorted if a != b
+          d <- report(Seq(a), b, root, n, tokenized, params)
+        } yield d
         val multi =
-          if (params.maxLhs >= 2) discoverLevel2(df, ix, n, profiles, params, single.map(_._1), trivial)
+          if (params.maxLhs >= 2)
+            discoverLevel2(df, ix, n, attrs, tokenized, trivial, params, single.map(_._1))
           else Seq.empty
         single ++ multi
       }
@@ -128,58 +141,46 @@ object Discovery {
     }
 
   // ------------------------------------------------------------------
-  // Level 1: single-LHS candidate dependencies A → B.
+  // Mining an interned index (the root slice or a conditioning slice).
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel1(index: DataFrame, n: Long,
-                                        profiles: Seq[ColumnProfile], params: Params)
-      : (Seq[(DiscoveredDep, Option[PFD])], PatternIndex.Interned, Set[(String, String, Int)]) = {
-    val (ix, (entries, trivial, capDropped)) = mineEntries(index, params, n)
-    logCapDropped(1, params, Seq(capDropped))
-    val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
-    val deps = entries.groupBy(e => (e.attrA, e.attrB)).toSeq.sortBy(_._1).flatMap { case ((a, b), es) =>
-      val rows = selectTableau(es, tokenized(a)).map(Map.empty[String, Cell] -> _)
-      report(Seq(a), b, rows, n, tokenized, params)
-    }
-    (deps, ix, trivial)
-  }
-
-  /** Collect `index` (columns tid, attr, token, pos, full) to the driver
-    * once, intern it to dense pattern ids and [[mine]] it. The interned
-    * index is returned too: level 2 mines its restrictions to slices.
+  /** Collect `index` ([[PatternIndex.build]]'s rows) to the driver once and
+    * intern it to dense pattern ids: the one index collect of a discovery,
+    * which traces charge to mining by this method's name.
     */
-  private[discovery] def mineEntries(index: DataFrame, params: Params, nRows: Long)
-      : (PatternIndex.Interned, (Seq[Entry], Set[(String, String, Int)], Map[String, Int])) = {
-    val ix = PatternIndex.intern(PatternIndex.columns(index).collect())
-    (ix, mine(ix, params, nRows, trivialOverride = None))
-  }
+  private[discovery] def mineEntries(index: DataFrame): PatternIndex.Interned =
+    PatternIndex.intern(index.collect())
+
+  private def key(ix: PatternIndex.Interned, i: Int) = (ix.attrName(i), ix.token(i), ix.pos(i))
+
+  /** The *trivially-covering* patterns of the whole index `ix` of `n` rows:
+    * those in ≥ `maxRhsCover` of the rows (constant id prefixes and the
+    * like), which [[mine]] rejects as RHS evidence. Computed once per
+    * discovery, so that conditioning on a slice does not turn a
+    * globally-varied column into a "constant" one.
+    */
+  private[discovery] def trivialPatterns(ix: PatternIndex.Interned, params: Params,
+                                         n: Long): Set[(String, String, Int)] =
+    (0 until ix.size).filter(i => ix.cnt(i) >= params.maxRhsCover * n).map(key(ix, _)).toSet
 
   /** Mine an interned index on the driver: substring pruning and the
     * pattern cap per attribute ([[PatternIndex.prune]]); then, per LHS
     * pattern, its joint counts with every co-occurring RHS pattern of
     * another attribute in the same tuple, the decision f, and the best RHS
-    * pattern per attribute.
+    * pattern per attribute. RHS patterns in `trivial` are never evidence.
     *
-    * Returns the accepted tableau entries, the set of *trivially-covering*
-    * patterns — patterns present in ≥ `maxRhsCover` of the `nRows` rows
-    * (constant id prefixes and the like), which are rejected as RHS
-    * evidence — and the patterns the cap dropped per attribute. Level 2
-    * passes the full-table trivial set via `trivialOverride` so that
-    * conditioning on a slice does not turn a globally-varied column into a
-    * "constant" one.
+    * Returns the accepted tableau entries and the patterns the cap dropped
+    * per attribute.
     */
-  private[discovery] def mine(ix: PatternIndex.Interned, params: Params, nRows: Long,
-                              trivialOverride: Option[Set[(String, String, Int)]])
-      : (Seq[Entry], Set[(String, String, Int)], Map[String, Int]) = {
+  private[discovery] def mine(ix: PatternIndex.Interned, params: Params,
+                              trivial: Set[(String, String, Int)])
+      : (Seq[Entry], Map[String, Int]) = {
     val pruned = PatternIndex.prune(ix, params.maxPatternsPerAttr)
-    def key(i: Int) = (ix.attrName(i), ix.token(i), ix.pos(i))
-    val trivial = trivialOverride.getOrElse(
-      pruned.kept.filter(i => ix.cnt(i) >= params.maxRhsCover * nRows).map(key).toSet)
     val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
     // trivially-covering patterns must be excluded from the RHS side *before*
     // best-RHS ranking, or e.g. a constant "univ" email token would shadow
     // the informative department token.
-    val frequent = pruned.kept.filter(i => ix.cnt(i) >= minRhsCnt && !trivial.contains(key(i)))
+    val frequent = pruned.kept.filter(i => ix.cnt(i) >= minRhsCnt && !trivial.contains(key(ix, i)))
 
     // the frequent patterns of each tuple: tPat/tFull(tStart(t) until tStart(t + 1))
     val tStart = new Array[Int](ix.nTuples + 1)
@@ -232,7 +233,7 @@ object Discovery {
       for (t <- 0 until nTouched) { cj(touched(t)) = 0; notFullB(touched(t)) = false }
       java.util.Arrays.fill(best, -1)
     }
-    (entries.toSeq, trivial, pruned.capDropped)
+    (entries.toSeq, pruned.capDropped)
   }
 
   /** One INFO line for a lattice level when the pattern cap dropped any
@@ -249,15 +250,21 @@ object Discovery {
   // Tableau selection + PFD construction for one candidate dependency.
   // ------------------------------------------------------------------
 
-  /** Report lhs → b when the selected tableau `rows` (each an entry with
-    * the constant cells of its conditioning attributes) covers ≥ γ of the
-    * `n` records: as the constant PFD, with the candidate variable PFD that
+  /** Report lhs → b from the mined `slices`, each the constant cells of
+    * its conditioning attributes (none at level 1) with its entries. In
+    * each slice the tableau is selected from the entries of (lhs.last, b);
+    * when the selected rows cover ≥ γ of the `n` records, lhs → b is
+    * reported as the constant PFD, with the candidate variable PFD that
     * [[Generalizer.candidate]] builds from the entries, if any.
     */
-  private def report(lhs: Seq[String], b: String, rows: Seq[(Map[String, Cell], Entry)], n: Long,
-                     tokenized: Map[String, Boolean],
+  private def report(lhs: Seq[String], b: String, slices: Seq[(Map[String, Cell], Seq[Entry])],
+                     n: Long, tokenized: Map[String, Boolean],
                      params: Params): Option[(DiscoveredDep, Option[PFD])] = {
     val a = lhs.last // the pattern-bearing attribute
+    val rows = for {
+      (conditioning, es) <- slices
+      e <- selectTableau(es.filter(e => e.attrA == a && e.attrB == b), tokenized(a))
+    } yield conditioning -> e
     val coverage = rows.map(_._2.cntA).sum.toDouble / n
     if (rows.isEmpty || coverage < params.minCoverage) None
     else {
@@ -292,33 +299,29 @@ object Discovery {
 
   /** Whether `e`'s LHS pattern is an extension of selected `s` (so that
     * tids(e) ⊆ tids(s)). For n-gram prefixes: `s` a prefix of `e`; for
-    * tokenized: `s` a token of the full value `e`.
+    * tokenized: `s` a token of the full value `e`. A selection holds each
+    * (tokA, posA) once, so `e` is never `s` itself.
     */
-  private def extendsPattern(e: Entry, s: Entry, isTokenized: Boolean): Boolean = {
-    if (isTokenized) {
-      if (e.tokA == s.tokA && e.posA == s.posA) true
-      else if (e.posA == PatternIndex.FullValuePos && s.posA >= 0)
+  private def extendsPattern(e: Entry, s: Entry, isTokenized: Boolean): Boolean =
+    if (isTokenized)
+      e.posA == PatternIndex.FullValuePos && s.posA >= 0 &&
         Tokenizer.tokens(e.tokA).exists(t => t.token == s.tokA && t.pos == s.posA)
-      else false
-    } else e.tokA.startsWith(s.tokA)
-  }
-
-  /** Whether the cell of a mined (pos, full) constrains the whole value. */
-  private[discovery] def isWhole(isTokenized: Boolean, pos: Int, isFull: Boolean): Boolean =
-    isFull || (isTokenized && pos == PatternIndex.FullValuePos)
+    else e.tokA.startsWith(s.tokA)
 
   /** The cell of pattern `p` mined at `pos` — the one builder of Table 3's
-    * shapes. The whole value when [[isWhole]]; `⟨p⟩\A*` for an n-gram
-    * prefix (`⟨\D{3}⟩\A*`); for a token, `p` at the start (`pos` 0) or
-    * after `\A*\S`, then at the end or before `\S\A*`, as two alternatives
-    * (`\A*,\ ⟨Donald⟩\A*`), so 'John' never matches inside 'Johnson'.
+    * shapes. The whole value when `isFull`, as every pattern at a
+    * tokenized column's `FullValuePos` is ([[PatternIndex.build]]);
+    * `⟨p⟩\A*` for an n-gram prefix (`⟨\D{3}⟩\A*`); for a token, `p` at
+    * the start (`pos` 0) or after `\A*\S`, then at the end or before
+    * `\S\A*`, as two alternatives (`\A*,\ ⟨Donald⟩\A*`), so 'John' never
+    * matches inside 'Johnson'.
     * Constant cells pass `Pattern.lit(token)`; Generalize(ψ) passes the
     * generalized pattern ([[Generalizer.generalCellFor]]).
     */
   private[discovery] def cellFor(isTokenized: Boolean, p: Pattern, pos: Int,
                                  isFull: Boolean = false): Cell = {
     import CharClass._
-    if (isWhole(isTokenized, pos, isFull)) Cell(ConstrainedPattern(Pattern.Empty, p, Pattern.Empty))
+    if (isFull) Cell(ConstrainedPattern(Pattern.Empty, p, Pattern.Empty))
     else if (!isTokenized) Cell(ConstrainedPattern(Pattern.Empty, p, Pattern.AnyStar))
     else {
       val pre =
@@ -335,14 +338,11 @@ object Discovery {
   // ------------------------------------------------------------------
 
   private[discovery] def discoverLevel2(df: DataFrame, ix: PatternIndex.Interned, n: Long,
-                                        profiles: Seq[ColumnProfile], params: Params,
-                                        found: Seq[DiscoveredDep],
-                                        trivial: Set[(String, String, Int)])
+                                        attrs: Seq[String], tokenized: Map[String, Boolean],
+                                        trivial: Set[(String, String, Int)], params: Params,
+                                        found: Seq[DiscoveredDep])
       : Seq[(DiscoveredDep, Option[PFD])] = {
-    val quals = profiles.filter(_.isQualitative)
-    val tokenized = profiles.map(p => p.name -> p.useTokenize).toMap
     val foundPairs = found.map(d => (d.lhs.toSet, d.rhs)).toSet
-    val attrs = quals.map(_.name)
 
     // Mine every conditioning slice once and reuse its entries for every
     // candidate {cond, pat} -> b (Example 8's "mine each slice").
@@ -370,24 +370,18 @@ object Discovery {
       if (top(cond).isEmpty || cands.isEmpty || condCoverage < params.minCoverage) None
       else Some(cond -> cands)
     }
-    // one slice per (conditioner, frequent value): level 1's index on the
-    // slice's tuples and the attributes its conditioner's candidates need,
-    // mined and then released; its entries in top-value order
+    // one slice per (conditioner, frequent value), in top-value order: the
+    // index on the slice's tuples and the attributes its conditioner's
+    // candidates need, mined and then released
     val capDropped = mutable.ArrayBuffer.empty[Map[String, Int]]
     val deps = plans.flatMap { case (cond, cands) =>
       val needed = cands.flatMap(c => Seq(c._1, c._2)).toSet
-      val entriesByVal = top(cond).map { case (v, tids) =>
-        val (es, _, dropped) = mine(ix.restrict(tids, needed), params, n, Some(trivial))
+      val slices = top(cond).map { case (v, tids) =>
+        val (es, dropped) = mine(ix.restrict(tids, needed), params, trivial)
         capDropped += dropped
-        (v, es)
+        Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v))) -> es
       }
-      cands.flatMap { case (pat, b) =>
-        val rows = entriesByVal.flatMap { case (v, es) =>
-          selectTableau(es.filter(e => e.attrA == pat && e.attrB == b), tokenized(pat))
-            .map(Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v))) -> _)
-        }
-        report(Seq(cond, pat), b, rows, n, tokenized, params)
-      }
+      cands.flatMap { case (pat, b) => report(Seq(cond, pat), b, slices, n, tokenized, params) }
     }
     logCapDropped(2, params, capDropped.toSeq)
     deps

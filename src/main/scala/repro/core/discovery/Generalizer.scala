@@ -63,10 +63,7 @@ object Generalizer {
       case Cls(c, _) => c == CharClass.AnyCh || c == CharClass.Symbol
       case _         => false
     }
-    val fits =
-      if (Discovery.isWhole(isTokenized, pos, isFull)) true
-      else if (isTokenized) !crossesSep
-      else g.isFixedLength
+    val fits = isFull || (if (isTokenized) !crossesSep else g.isFixedLength)
     Option.when(fits)(Discovery.cellFor(isTokenized, g, pos, isFull))
   }
 
@@ -84,9 +81,8 @@ object Generalizer {
     for {
       gL <- generalizeStrings(selected.map(_.tokA))
       lhsCell <- generalCellFor(tokenized(a), gL, selected.head.posA, selected.forall(_.fullA))
-      rhsCell <- rhsCellFor(selected, tokenized(b))
-    } yield PFD(lhs, Seq(b),
-                Seq(PTuple(lhs.init.map(_ -> (Wildcard: Cell)).toMap + (a -> lhsCell), Map(b -> rhsCell))))
+    } yield PFD(lhs, Seq(b), Seq(PTuple(lhs.init.map(_ -> (Wildcard: Cell)).toMap + (a -> lhsCell),
+                                        Map(b -> rhsCellFor(selected, tokenized(b))))))
   }
 
   /** RHS cell of the variable PFD: full-value constants generalize to the
@@ -94,19 +90,12 @@ object Generalizer {
     * tokens generalize to a constrained shape of their own when they share
     * one (Year → Date-prefix style). Falls back to ⊥.
     */
-  private def rhsCellFor(selected: Seq[Discovery.Entry],
-                         rhsTokenized: Boolean): Option[Cell] = {
+  private def rhsCellFor(selected: Seq[Discovery.Entry], rhsTokenized: Boolean): Cell = {
     val posB = selected.map(_.posB).distinct
-    val partial = !selected.forall(_.fullB) && posB != Seq(PatternIndex.FullValuePos)
-    if (!partial) Some(Wildcard)
-    else {
-      val sameShape =
-        if (posB.size == 1)
-          generalizeStrings(selected.map(_.tokB))
-            .flatMap(g => generalCellFor(rhsTokenized, g, posB.head))
-        else None
-      sameShape.orElse(Some(Wildcard))
-    }
+    val sameShape =
+      if (selected.forall(_.fullB) || posB.size != 1) None
+      else generalizeStrings(selected.map(_.tokB)).flatMap(generalCellFor(rhsTokenized, _, posB.head))
+    sameShape.getOrElse(Wildcard)
   }
 
   /** Generalize(ψ) for every dependency of a discovery, levels 1 and 2:

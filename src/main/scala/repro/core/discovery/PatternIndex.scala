@@ -24,7 +24,9 @@ object PatternIndex {
 
   /** Build the inverted index for the qualitative columns of `profiles`,
     * in one scan: one UDF over all of their values emits every column's
-    * (attr, token, pos, full) rows.
+    * rows, with the columns [[intern]] reads in its order: tid (long), attr,
+    * token, pos, full. Every row at `FullValuePos` has `full` set: it is
+    * the one flag of a whole value.
     */
   def build(df0: DataFrame, profiles: Seq[ColumnProfile]): DataFrame = {
     val df = PFDCheck.withTid(df0)
@@ -57,15 +59,11 @@ object PatternIndex {
       }
     }
     df.select(
-        col(PFDCheck.TidCol) as "tid",
+        col(PFDCheck.TidCol).cast(LongType) as "tid",
         explode(extractor(array(useful.map(p => col(p.name).cast(StringType)): _*))) as "p")
       .select(col("tid"), col("p._1") as "attr", col("p._2") as "token",
               col("p._3") as "pos", col("p._4") as "full")
   }
-
-  /** The columns [[intern]] reads, in its order: tid, attr, token, pos, full. */
-  def columns(index: DataFrame): DataFrame =
-    index.select(col("tid").cast(LongType), col("attr"), col("token"), col("pos"), col("full"))
 
   /** The collected index with dense ids: pattern i is
     * (`attrNames(attr(i))`, `token(i)`, `pos(i)`), and its rows are
@@ -110,7 +108,7 @@ object PatternIndex {
 
   private final case class Key(attr: Int, token: String, pos: Int)
 
-  /** Intern rows of [[columns]]: one pattern id per (attr, token, pos),
+  /** Intern rows of [[build]]: one pattern id per (attr, token, pos),
     * rows grouped by pattern.
     */
   def intern(rows: Array[Row]): Interned = {
@@ -225,8 +223,8 @@ object PatternIndex {
     *
     * Output columns: attr, token, pos, cnt, isFull.
     */
-  def prunedStats(index: DataFrame, maxPatternsPerAttr: Int = 5000): DataFrame = {
-    val ix = intern(columns(index).collect())
+  def prunedStats(index: DataFrame, maxPatternsPerAttr: Int): DataFrame = {
+    val ix = intern(index.collect())
     val rows = prune(ix, maxPatternsPerAttr).kept.toSeq.map { i =>
       Row(ix.attrName(i), ix.token(i), ix.pos(i), ix.cnt(i).toLong, ix.isFull(i))
     }

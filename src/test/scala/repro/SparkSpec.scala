@@ -50,7 +50,15 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     } finally spark.sparkContext.removeSparkListener(listener)
   }
 
-  override def afterAll(): Unit = { super.afterAll() }
+  /** Fails the suite when it leaves an RDD persisted: the suites share one
+    * session, so a cache a suite does not release outlives it.
+    */
+  override def afterAll(): Unit = {
+    super.afterAll()
+    val left = spark.sparkContext.getPersistentRDDs
+    assert(left.isEmpty, s"${getClass.getSimpleName} leaves ${left.size} persisted RDDs: " +
+      left.values.map(_.toDebugString.linesIterator.next()).mkString("; "))
+  }
 }
 
 object SparkSpec {

@@ -189,7 +189,8 @@ class DiscoverySpec extends SparkSpec {
     val params = Params(maxPatternsPerAttr = 5, maxConditionValues = 3)
     val quals = Profiler.profile(t7).filter(_.isQualitative)
     val n = t7.count()
-    val (ix, (_, trivial, _)) = Discovery.mineEntries(PatternIndex.build(t7, quals), params, n)
+    val ix = Discovery.mineEntries(PatternIndex.build(t7, quals))
+    val trivial = Discovery.trivialPatterns(ix, params, n)
     assert(trivial.nonEmpty) // the constant "A-" id prefix
     assert(!(0 until ix.size).exists(i => ix.attrName(i) == "flag" && ix.token(i) == "--"))
     // 4 conditioners × 3 values, each slice mined on the other attributes
@@ -212,16 +213,16 @@ class DiscoverySpec extends SparkSpec {
       Future {
         val rows = t7.filter(col(cond).cast("string") === v)
         val index = PatternIndex.build(rows, quals.filter(_.name != cond))
-        PatternIndex.intern(PatternIndex.columns(index).collect())
+        PatternIndex.intern(index.collect())
       }
     }, 10.minutes)
     def counts(ix: PatternIndex.Interned) =
       (0 until ix.size).map(i => (ix.attrName(i), ix.token(i), ix.pos(i)) -> ix.cnt(i)).toMap
     slices.zip(alone).foreach { case ((cond, v, slice), own) =>
       assert(counts(slice) == counts(own), s"slice $cond=$v")
-      val es = Discovery.mine(own, params, n, Some(trivial))._1
+      val es = Discovery.mine(own, params, trivial)._1
       assert(es.nonEmpty, s"slice $cond=$v")
-      assert(Discovery.mine(slice, params, n, Some(trivial))._1.toSet == es.toSet, s"slice $cond=$v")
+      assert(Discovery.mine(slice, params, trivial)._1.toSet == es.toSet, s"slice $cond=$v")
     }
   }
 
@@ -230,11 +231,12 @@ class DiscoverySpec extends SparkSpec {
     val index = PatternIndex.build(t7, Profiler.profile(t7).filter(_.isQualitative)).cache()
     try {
       val n = t7.count()
+      val ix = Discovery.mineEntries(index)
       // the defaults; a cap that binds on some attributes; a noise at which
       // some pair's cj equals floor(cntA·(1−δ)) < ceil(cntA·(1−δ))
       for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5),
                          Params(noise = 0.15, maxPatternsPerAttr = 12))) {
-        val entries = Discovery.mineEntries(index, params, n)._2._1
+        val entries = Discovery.mine(ix, params, Discovery.trivialPatterns(ix, params, n))._1
         assert(entries.nonEmpty)
         val minRhsCnt = math.max(1L, math.floor((1 - params.noise) * params.minSupport).toLong)
         // stats with exact tid-set signatures; substring pruning and the cap
@@ -346,17 +348,17 @@ class DiscoverySpec extends SparkSpec {
 
   test("greedy selection drops extensions of an already-selected n-gram") {
     val es = Seq(
-      Discovery.Entry("zip", "900", 0, 40, "city", "LA", -1, 40),
-      Discovery.Entry("zip", "9001", 0, 10, "city", "LA", -1, 10),
-      Discovery.Entry("zip", "606", 0, 35, "city", "CHI", -1, 35))
+      Discovery.Entry("zip", "900", 0, 40, "city", "LA", -1, 40, fullA = false, fullB = true),
+      Discovery.Entry("zip", "9001", 0, 10, "city", "LA", -1, 10, fullA = false, fullB = true),
+      Discovery.Entry("zip", "606", 0, 35, "city", "CHI", -1, 35, fullA = false, fullB = true))
     val kept = Discovery.selectTableau(es, isTokenized = false)
     assert(kept.map(_.tokA).toSet == Set("900", "606"))
   }
   test("single semantics keeps the dominant position group") {
     val es = Seq(
-      Discovery.Entry("name", "John", 0, 30, "g", "M", -1, 30),
-      Discovery.Entry("name", "Susan", 0, 28, "g", "F", -1, 28),
-      Discovery.Entry("name", "Smith", 1, 6, "g", "M", -1, 6))
+      Discovery.Entry("name", "John", 0, 30, "g", "M", -1, 30, fullA = false, fullB = true),
+      Discovery.Entry("name", "Susan", 0, 28, "g", "F", -1, 28, fullA = false, fullB = true),
+      Discovery.Entry("name", "Smith", 1, 6, "g", "M", -1, 6, fullA = false, fullB = true))
     val kept = Discovery.selectTableau(es, isTokenized = true)
     assert(kept.forall(_.posA == 0))
   }
@@ -377,7 +379,7 @@ class DiscoverySpec extends SparkSpec {
     assert(first.matches("John Smith") && !first.matches("Johnson"))
     assert(cell(isTokenized = true, "John", 2).render ==
       "\\A*\\S⟨John⟩ ∪ \\A*\\S⟨John⟩\\S\\A*")
-    assert(cell(isTokenized = true, "John Smith", PatternIndex.FullValuePos).render ==
+    assert(cell(isTokenized = true, "John Smith", PatternIndex.FullValuePos, isFull = true).render ==
       "⟨John\\ Smith⟩")
   }
 }

@@ -84,8 +84,8 @@ class GeneralizerSpec extends SparkSpec {
                (0 until 30).map(i => (s"Alex B$i", if (i % 2 == 0) "M" else "F"))
     val df = repro.core.PFDCheck.withTid(rows.toDF("name", "gender"))
     val entries = Seq(
-      Discovery.Entry("name", "Kim", 0, 30, "gender", "M", 0, 15, fullB = true),
-      Discovery.Entry("name", "Alex", 0, 30, "gender", "M", 0, 15, fullB = true))
+      Discovery.Entry("name", "Kim", 0, 30, "gender", "M", 0, 15, fullA = false, fullB = true),
+      Discovery.Entry("name", "Alex", 0, 30, "gender", "M", 0, 15, fullA = false, fullB = true))
     val g = generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params(noise = 0.05))
     assert(g.isEmpty)
@@ -96,8 +96,8 @@ class GeneralizerSpec extends SparkSpec {
                (0 until 30).map(i => (s"Susan B$i", "F"))
     val df = repro.core.PFDCheck.withTid(rows.toDF("name", "gender"))
     val entries = Seq(
-      Discovery.Entry("name", "John", 0, 30, "gender", "M", 0, 30, fullB = true),
-      Discovery.Entry("name", "Susan", 0, 30, "gender", "F", 0, 30, fullB = true))
+      Discovery.Entry("name", "John", 0, 30, "gender", "M", 0, 30, fullA = false, fullB = true),
+      Discovery.Entry("name", "Susan", 0, 30, "gender", "F", 0, 30, fullA = false, fullB = true))
     val g = generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params(noise = 0.05))
     assert(g.isDefined)
@@ -107,7 +107,8 @@ class GeneralizerSpec extends SparkSpec {
     import spark.implicits._
     val df = repro.core.PFDCheck.withTid(
       (0 until 10).map(i => (s"John A$i", "M")).toDF("name", "gender"))
-    val entries = Seq(Discovery.Entry("name", "John", 0, 10, "gender", "M", 0, 10))
+    val entries = Seq(Discovery.Entry("name", "John", 0, 10, "gender", "M", 0, 10,
+                                      fullA = false, fullB = false))
     assert(generalizeAlone(df, "name", "gender", entries,
       Map("name" -> true, "gender" -> false), Params()).isEmpty)
   }

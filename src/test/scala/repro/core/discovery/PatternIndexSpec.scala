@@ -23,7 +23,12 @@ class PatternIndexSpec extends SparkSpec {
 
   private lazy val profiles = Profiler.profile(repro.core.PFDCheck.withTid(table6))
   private lazy val index = PatternIndex.build(table6, profiles).cache()
-  private lazy val stats = PatternIndex.prunedStats(index).cache()
+  private lazy val stats = PatternIndex.prunedStats(index, Params().maxPatternsPerAttr).cache()
+
+  override def afterAll(): Unit = {
+    index.unpersist(); stats.unpersist()
+    super.afterAll()
+  }
 
   test("name is tokenized; country and gender use n-grams (Example 8)") {
     val m = profiles.map(p => p.name -> p.useTokenize).toMap
@@ -62,6 +67,17 @@ class PatternIndexSpec extends SparkSpec {
     val full = index.filter(col("attr") === "name" && col("pos") === PatternIndex.FullValuePos)
     assert(full.count() == 10)
   }
+  test("every row at the full-value position is flagged full") {
+    import spark.implicits._
+    // a single-token value, whose token at pos 0 is the whole value too,
+    // and a pure-symbol value, which has no token but a full-value row
+    val names = Seq("John Smith", "Madonna", "--", "Ann Lee").toDF("name")
+    val rows = PatternIndex.build(names, Seq(ColumnProfile("name", isQualitative = true,
+                                                           useTokenize = true, nonNull = 4)))
+      .filter(col("pos") === PatternIndex.FullValuePos).collect()
+    assert(rows.map(_.getString(2)).toSet == Set("John Smith", "Madonna", "--", "Ann Lee"))
+    assert(rows.forall(_.getBoolean(4)))
+  }
   test("Oracle cross-check: token counts agree with SQL over an exploded view") {
     // Materialize the index and let DuckDB recount it — catches a broken
     // explode/groupBy pipeline rather than re-deriving tokenization.
@@ -78,7 +94,7 @@ class PatternIndexSpec extends SparkSpec {
       .map(r => r.getString(0) -> r.getLong(1)).toMap
     assert(perAttr.values.forall(_ <= 2))
     // the patterns the cap dropped are counted, per attribute
-    val dropped = PatternIndex.prune(PatternIndex.intern(PatternIndex.columns(index).collect()), 2)
+    val dropped = PatternIndex.prune(PatternIndex.intern(index.collect()), 2)
       .capDropped.values.sum
     assert(dropped > 0)
     assert(dropped == PatternIndex.prunedStats(index, Int.MaxValue).count() - capped.count())

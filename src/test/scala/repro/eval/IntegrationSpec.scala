@@ -21,6 +21,11 @@ class IntegrationSpec extends SparkSpec {
     Params(minSupport = 5, noise = 0.05, minCoverage = 0.10))
   private lazy val pfdPr = Metrics.score(pfdRes.deps.map(d => (d.lhs, d.rhs)), t1.groundTruth)
 
+  override def afterAll(): Unit = {
+    t1df.unpersist()
+    super.afterAll()
+  }
+
   test("T1: PFD discovery recalls most ground-truth dependencies") {
     assert(pfdPr.recall >= 0.7, s"recall ${pfdPr.rStr}; found ${pfdRes.deps.map(_.render)}")
   }
