@@ -82,7 +82,8 @@ class CFDFinderSpec extends SparkSpec {
     // repartitioned, so that the UDF runs in the cached table's first job
     // rather than when the optimizer folds a projection of local rows
     val persisted = spark.sparkContext.getPersistentRDDs.keySet
-    intercept[Exception](CFDFinder.discover(zips.repartition(2).withColumn("zip", boom(col("zip")))))
+    intercept[Exception](
+      CFDFinder.discover(zips.repartition(2).withColumn("zip", boom(col("zip")))))
     assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
   }
 }

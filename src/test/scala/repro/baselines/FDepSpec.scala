@@ -54,7 +54,8 @@ class FDepSpec extends SparkSpec {
     // repartitioned, so that the UDF runs in the cached table's first job
     // rather than when the optimizer folds a projection of local rows
     val persisted = spark.sparkContext.getPersistentRDDs.keySet
-    intercept[Exception](FDep.discover(clean.repartition(2).withColumn("code", boom(col("code"))), maxLhs = 1))
+    intercept[Exception](
+      FDep.discover(clean.repartition(2).withColumn("code", boom(col("code"))), maxLhs = 1))
     assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
   }
   test("Oracle cross-check: the FD-holds predicate matches SQL") {
