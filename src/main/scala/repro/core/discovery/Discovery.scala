@@ -1,8 +1,6 @@
 package repro.core.discovery
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 import scala.collection.mutable
@@ -123,7 +121,7 @@ object Discovery {
         } yield d
         val multi =
           if (params.maxLhs >= 2)
-            discoverLevel2(df, ix, n, attrs, tokenized, trivial, params, single.map(_._1))
+            discoverLevel2(ix, n, attrs, tokenized, trivial, params, single.map(_._1))
           else Seq.empty
         single ++ multi
       }
@@ -337,7 +335,7 @@ object Discovery {
   // Level 2 of the attribute-set lattice: {A, C} → B (Example 8).
   // ------------------------------------------------------------------
 
-  private[discovery] def discoverLevel2(df: DataFrame, ix: PatternIndex.Interned, n: Long,
+  private[discovery] def discoverLevel2(ix: PatternIndex.Interned, n: Long,
                                         attrs: Seq[String], tokenized: Map[String, Boolean],
                                         trivial: Set[(String, String, Int)], params: Params,
                                         found: Seq[DiscoveredDep])
@@ -351,8 +349,7 @@ object Discovery {
     // (cond, pat, b) is kept only when the lattice's children produced
     // nothing (restriction iv) and pat has fewer frequent top values than
     // cond would grant it as conditioner.
-    val topByAttr = topValues(df, attrs, params)
-    def top(a: String): Seq[(String, Seq[Long])] = topByAttr.getOrElse(a, Seq.empty)
+    val top = topValues(ix, tokenized, params).withDefaultValue(Seq.empty)
     def topCount(a: String): Int = top(a).headOption.map(_._2.size).getOrElse(0)
 
     val plans: Seq[(String, Seq[(String, String)])] = attrs.flatMap { cond =>
@@ -376,8 +373,8 @@ object Discovery {
     val capDropped = mutable.ArrayBuffer.empty[Map[String, Int]]
     val deps = plans.flatMap { case (cond, cands) =>
       val needed = cands.flatMap(c => Seq(c._1, c._2)).toSet
-      val slices = top(cond).map { case (v, tids) =>
-        val (es, dropped) = mine(ix.restrict(tids, needed), params, trivial)
+      val slices = top(cond).map { case (v, tuples) =>
+        val (es, dropped) = mine(ix.restrict(tuples, needed), params, trivial)
         capDropped += dropped
         Map(cond -> Cell(ConstrainedPattern.wholeLiteral(v))) -> es
       }
@@ -387,26 +384,23 @@ object Discovery {
     deps
   }
 
-  /** The `maxConditionValues` most frequent values (count ≥ K) of each of
-    * `attrs`, most frequent first, each with the raw `__tid`s of the rows
-    * that carry it, from one query over all attributes.
+  /** The `maxConditionValues` most frequent values (count ≥ K) of each
+    * attribute of `ix`, by count desc, then code point, each with the tuple
+    * numbers of its `full` rows: those at a tokenized column's `FullValuePos`,
+    * or any of an n-gram column's (its n-gram of full length or `SymbolValuePos`).
     */
-  private[discovery] def topValues(df: DataFrame, attrs: Seq[String],
-                                   params: Params): Map[String, Seq[(String, Seq[Long])]] = {
-    val byCount = Window.partitionBy("attr").orderBy(col("count").desc, col("v").asc)
-    df.select(explode(array(attrs.map(a =>
-        struct(lit(a) as "attr", col(a).cast("string") as "v",
-               col(PFDCheck.TidCol).cast("long") as "tid")): _*)) as "av")
-      .select("av.attr", "av.v", "av.tid")
-      .filter(col("v").isNotNull)
-      .groupBy("attr", "v").agg(collect_list("tid") as "tids")
-      .withColumn("count", size(col("tids")))
-      .filter(col("count") >= params.minSupport)
-      .withColumn("__r", row_number().over(byCount))
-      .filter(col("__r") <= params.maxConditionValues)
-      .collect()
-      .map(r => (r.getString(0), r.getInt(4), (r.getString(1), r.getSeq[Long](2))))
-      .groupBy(_._1)
-      .map { case (a, vs) => a -> vs.sortBy(_._2).map(_._3).toSeq }
+  private[discovery] def topValues(ix: PatternIndex.Interned, tokenized: Map[String, Boolean],
+                                   params: Params): Map[String, Seq[(String, Array[Int])]] = {
+    val values = for {
+      i <- 0 until ix.size if ix.cnt(i) >= params.minSupport
+      if !tokenized(ix.attrName(i)) || ix.pos(i) == PatternIndex.FullValuePos
+      rows = (ix.start(i) until ix.start(i + 1)).filter(ix.full)
+      if rows.length >= params.minSupport
+    } yield ix.attrName(i) -> (ix.token(i), rows.map(ix.tid).toArray)
+    values.groupMap(_._1)(_._2).map { case (a, vs) =>
+      a -> vs.sortWith { case ((v, ts), (w, us)) =>
+        ts.length > us.length || ts.length == us.length && PatternIndex.cpCompare(v, w) < 0
+      }.take(params.maxConditionValues)
+    }
   }
 }

@@ -9,9 +9,10 @@ import scala.collection.mutable
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
   * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
   * columns, full value added as pos = -1) or 0 (n-gram columns, whose
-  * n-grams are all prefixes). Discovery collects it to the driver once and interns it
-  * ([[Interned]]); level 2 mines restrictions of that one interned index
-  * to the tuples of each conditioning value ([[Interned.restrict]]).
+  * n-grams are all prefixes). Discovery collects it to the driver once and
+  * interns it ([[Interned]]); level 2 mines restrictions of that one
+  * interned index to the tuples of each frequent whole value of a
+  * conditioning attribute ([[Interned.restrict]]), read from the index.
   * `prune` applies the substring-pruning optimization of §4.4 to an
   * interned index: among patterns of one attribute appearing in exactly
   * the same set of tuples, only the most specific (longest) survives —
@@ -22,11 +23,16 @@ object PatternIndex {
   /** Full-value sentinel position for tokenized columns. */
   val FullValuePos: Int = -1
 
+  /** Sentinel position of an n-gram column's whole value with no letter or
+    * digit (`%`, `--`, `""`): it conditions level-2 slices, but is never mined.
+    */
+  val SymbolValuePos: Int = -2
+
   /** Build the inverted index for the qualitative columns of `profiles`,
     * in one scan: one UDF over all of their values emits every column's
     * rows, with the columns [[intern]] reads in its order: tid (long), attr,
-    * token, pos, full. Every row at `FullValuePos` has `full` set: it is
-    * the one flag of a whole value.
+    * token, pos, full. Every row at `FullValuePos` or `SymbolValuePos` has
+    * `full` set: it is the one flag of a whole value.
     */
   def build(df0: DataFrame, profiles: Seq[ColumnProfile]): DataFrame = {
     val df = PFDCheck.withTid(df0)
@@ -54,7 +60,8 @@ object PatternIndex {
           // mid-string offsets mostly surface positional coincidences
           // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
           // also bounds C2 linearly instead of quadratically.
-          Tokenizer.prefixes(s).filter(t => informative(t.token))
+          if (!informative(s)) Seq((names(i), s, SymbolValuePos, true))
+          else Tokenizer.prefixes(s).filter(t => informative(t.token))
             .map(t => (names(i), t.token, t.pos, t.atEnd))
       }
     }
@@ -67,29 +74,27 @@ object PatternIndex {
 
   /** The collected index with dense ids: pattern i is
     * (`attrNames(attr(i))`, `token(i)`, `pos(i)`), and its rows are
-    * `start(i) until start(i + 1)` of `tid` (dense tuple numbers, from
-    * `tupleOf` the raw `__tid`) and `full`.
+    * `start(i) until start(i + 1)` of `tid` (tuple numbers `0 until
+    * nTuples`, see [[intern]]) and `full`.
     */
   final class Interned(val attr: Array[Int], val attrNames: Array[String],
                        val token: Array[String], val pos: Array[Int],
                        val start: Array[Int], val tid: Array[Int], val full: Array[Boolean],
-                       tupleOf: mutable.LongMap[Int]) {
+                       val nTuples: Int) {
     def size: Int = attr.length
-    /** Tuple numbers are `0 until nTuples`. */
-    def nTuples: Int = tupleOf.size
     def cnt(i: Int): Int = start(i + 1) - start(i)
     /** A pattern "is the full value" only if it is on every occurrence. */
     def isFull(i: Int): Boolean = (start(i) until start(i + 1)).forall(full)
     def attrName(i: Int): String = attrNames(attr(i))
 
-    /** This index on the tuples with raw `__tid`s `tids` and on `attrs`
-      * only, as if they alone had been indexed: patterns left with no rows
-      * are dropped. Tuple numbers, attribute ids and token strings are
-      * shared with this index.
+    /** This index on the tuples numbered `tuples` and on `attrs` only, as
+      * if they alone had been indexed: patterns left with no rows are
+      * dropped. Tuple numbers, attribute ids and token strings are shared
+      * with this index.
       */
-    def restrict(tids: Seq[Long], attrs: Set[String]): Interned = {
+    def restrict(tuples: Array[Int], attrs: Set[String]): Interned = {
       val member = new java.util.BitSet(nTuples)
-      for (t <- tids; u <- tupleOf.get(t)) member.set(u)
+      tuples.foreach(member.set)
       val keep = attrNames.map(attrs)
       val pats = mutable.ArrayBuilder.make[Int]
       val rows = mutable.ArrayBuilder.make[Int] // kept rows of this index, pattern by pattern
@@ -102,14 +107,14 @@ object PatternIndex {
       }
       val (ids, ks) = (pats.result(), rows.result())
       new Interned(ids.map(attr), attrNames, ids.map(token), ids.map(pos), starts.result(),
-                   ks.map(tid), ks.map(full), tupleOf)
+                   ks.map(tid), ks.map(full), nTuples)
     }
   }
 
   private final case class Key(attr: Int, token: String, pos: Int)
 
-  /** Intern rows of [[build]]: one pattern id per (attr, token, pos),
-    * rows grouped by pattern.
+  /** Intern rows of [[build]]: one pattern id per (attr, token, pos), rows
+    * grouped by pattern, tuple numbers in the order rows first name a `__tid`.
     */
   def intern(rows: Array[Row]): Interned = {
     val n = rows.length
@@ -147,7 +152,7 @@ object PatternIndex {
     val names = new Array[String](attrIds.size)
     attrIds.foreach { case (s, a) => names(a) = s }
     new Interned(keys.map(_.attr).toArray, names, keys.map(_.token).toArray,
-                 keys.map(_.pos).toArray, start, tid, full, tidIds)
+                 keys.map(_.pos).toArray, start, tid, full, tidIds.size)
   }
 
   /** Patterns kept by [[prune]] (ids of an [[Interned]]), and how many
@@ -174,7 +179,7 @@ object PatternIndex {
     * with exactly the same tid set the most specific survives (longest
     * token, then lowest pos, then lowest token); of the survivors the
     * `maxPatternsPerAttr` first by (cnt desc, length desc, token, pos) are
-    * kept.
+    * kept. Patterns at `SymbolValuePos` take no part.
     */
   def prune(ix: Interned, maxPatternsPerAttr: Int): Pruned = {
     val len = ix.token.map(cpLength)
@@ -194,7 +199,7 @@ object PatternIndex {
 
     // one representative per class of equal tid sets within an attribute
     val reps = mutable.HashMap.empty[(Int, Int, Int), List[Int]]
-    for (i <- 0 until ix.size) {
+    for (i <- 0 until ix.size if ix.pos(i) != SymbolValuePos) {
       val k = (ix.attr(i), ix.cnt(i), tidHash(i))
       val candidates = reps.getOrElse(k, Nil)
       candidates.find(sameTids(_, i)) match {

@@ -181,7 +181,7 @@ class DiscoverySpec extends SparkSpec {
 
   test("mining 12 slices of T7's interned index equals each slice alone") {
     // T7 plus a conditioner whose most frequent value, "--", has no letter
-    // or digit, so that the index has no full-value pattern for it
+    // or digit, so that the index has it only at SymbolValuePos
     val t7 = DirtyData.table(spark, 7).df.withColumn("flag",
       element_at(array(lit("--"), lit("x9"), lit("--"), lit("y8")),
                  (pmod(col(PFDCheck.TidCol), lit(4)) + 1).cast("int")))
@@ -192,13 +192,15 @@ class DiscoverySpec extends SparkSpec {
     val ix = Discovery.mineEntries(PatternIndex.build(t7, quals))
     val trivial = Discovery.trivialPatterns(ix, params, n)
     assert(trivial.nonEmpty) // the constant "A-" id prefix
-    assert(!(0 until ix.size).exists(i => ix.attrName(i) == "flag" && ix.token(i) == "--"))
+    val dashes = (0 until ix.size).filter(i => ix.attrName(i) == "flag" && ix.token(i) == "--")
+    assert(dashes.map(ix.pos) == Seq(PatternIndex.SymbolValuePos))
+    assert(!PatternIndex.prune(ix, Int.MaxValue).kept.exists(dashes.contains))
     // 4 conditioners × 3 values, each slice mined on the other attributes
     val conds = Seq("assay_type", "organism", "year", "flag")
-    val top = Discovery.topValues(t7, conds, params)
-    val slices = for (cond <- conds; (v, tids) <- top(cond))
-      yield (cond, v, ix.restrict(tids, quals.map(_.name).filter(_ != cond).toSet))
-    assert(slices.size == 12)
+    val top = Discovery.topValues(ix, quals.map(p => p.name -> p.useTokenize).toMap, params)
+    val slices = for (cond <- conds; (v, tuples) <- top(cond))
+      yield (cond, v, ix.restrict(tuples, quals.map(_.name).filter(_ != cond).toSet))
+    assert(slices.size == 12 && slices.exists(s => s._1 == "flag" && s._2 == "--"))
     val patterns = slices.flatMap { case (_, _, s) =>
       PatternIndex.prune(s, Int.MaxValue).kept.groupBy(s.attr(_)).values.map(_.length)
     }
