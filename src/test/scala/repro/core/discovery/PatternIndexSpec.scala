@@ -99,4 +99,11 @@ class PatternIndexSpec extends SparkSpec {
     assert(dropped > 0)
     assert(dropped == PatternIndex.prunedStats(index, Int.MaxValue).count() - capped.count())
   }
+  test("n-gram prefixes end on code points: x𝐀y yields x, x𝐀 and x𝐀y") {
+    import spark.implicits._
+    // U+1D400 is two UTF-16 chars; a prefix must never end between them
+    val code = ColumnProfile("code", isQualitative = true, useTokenize = false, nonNull = 1)
+    val tokens = PatternIndex.build(Seq("x𝐀y").toDF("code"), Seq(code)).collect().map(_.getString(2))
+    assert(tokens.toSeq == Seq("x", "x𝐀", "x𝐀y"))
+  }
 }
