@@ -1,9 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import repro.core.PFDCheck
+import org.apache.spark.sql.functions.col
+import repro.core.{PFD, PFDCheck}
 import repro.core.discovery.Discovery
 
 /** Baseline: conditional-functional-dependency discovery in the spirit of
@@ -17,7 +16,9 @@ import repro.core.discovery.Discovery
   * reaches the confidence threshold yields a rule. A dependency is reported
   * when its rules cover ≥ `minCoverage` of the records, or when the whole
   * embedded FD holds approximately at the confidence threshold (a variable
-  * CFD). Like FDep, it never looks inside values — the contrast the paper
+  * CFD). Each candidate is the all-`⊥` PFD ([[PFD.fd]]), and a rule is one
+  * of its LHS groups read from one [[PFDCheck.majority]] query per lattice
+  * level. Like FDep, it never looks inside values — the contrast the paper
   * draws with PFDs.
   */
 object CFDFinder {
@@ -38,50 +39,33 @@ object CFDFinder {
     val deps = Discovery.cached(df0.drop(PFDCheck.TidCol)) { df =>
       val n = df.count()
       val cols = df.columns.toSeq
-      val out = scala.collection.mutable.ArrayBuffer.empty[Dep]
 
-      def mine(lhs: Seq[String], b: String): Option[Dep] = {
-        val perKey = df.groupBy((lhs :+ b).map(c => col(c).cast("string") as c): _*)
-          .agg(count(lit(1)) as "c")
-        val w = Window.partitionBy(lhs.map(col): _*)
-        val ranked = perKey
-          .withColumn("__tot", sum("c").over(w))
-          .withColumn("__r", row_number().over(w.orderBy(col("c").desc, col(b).asc)))
-          .filter(col("__r") === 1)
-          .select((lhs.map(col) :+ col(b) :+ col("c") :+ col("__tot")): _*)
-          .collect()
-        val rules = ranked.toSeq
-          .filter { r =>
-            val tot = r.getAs[Long]("__tot")
-            tot >= minSupport && r.getAs[Long]("c").toDouble / tot >= confidence
-          }
-          .map { r =>
-            Rule(lhs.map(a => Option(r.getAs[Any](a)).map(_.toString).orNull),
-                 Option(r.getAs[Any](b)).map(_.toString).orNull,
-                 r.getAs[Long]("__tot"),
-                 r.getAs[Long]("c").toDouble / r.getAs[Long]("__tot"))
-          }
-        val covered = rules.map(_.support).sum.toDouble / n
-        val overallConf = {
-          val best = ranked.map(_.getAs[Long]("c")).sum.toDouble
-          if (n == 0) 0.0 else best / n
+      def mine(cands: Seq[(Seq[String], String)]): Seq[Dep] =
+        if (cands.isEmpty) Seq.empty
+        else {
+          // per candidate, one (key, majority RHS key, its count, size) per
+          // LHS group; a group whose RHS values are all null has no majority
+          val groups = PFDCheck.majority(df, cands.map { case (x, b) => PFD.fd(x, b) }, _ => true)
+            .select("pfd", "lkey", "majk", "majc", "tot").distinct()
+            .where(col("majk").isNotNull)
+            .collect()
+            .groupMap(_.getInt(0))(g => (g.getSeq[String](1), g.getString(2), g.getLong(3), g.getLong(4)))
+          for {
+            ((lhs, b), i) <- cands.zipWithIndex
+            gs = groups.getOrElse(i, Array.empty[(Seq[String], String, Long, Long)]).toSeq
+            rules = for {
+              (lkey, majk, majc, tot) <- gs
+              if tot >= minSupport && majc.toDouble / tot >= confidence
+            } yield Rule(lkey, majk, tot, majc.toDouble / tot)
+            covered = rules.map(_.support).sum.toDouble / n
+            variable = gs.map(_._3).sum.toDouble / n >= confidence
+            if variable || (rules.nonEmpty && covered >= minCoverage)
+          } yield Dep(lhs, b, rules, variable, covered)
         }
-        val variable = overallConf >= confidence
-        if (variable || (rules.nonEmpty && covered >= minCoverage))
-          Some(Dep(lhs, b, rules, variable, covered))
-        else None
-      }
 
-      for (a <- cols; b <- cols if a != b) mine(Seq(a), b).foreach(out += _)
-      if (maxLhs >= 2) {
-        val level1 = out.map(d => (d.lhs.toSet, d.rhs)).toSet
-        for {
-          i <- cols.indices; j <- (i + 1) until cols.size; b <- cols
-          if b != cols(i) && b != cols(j)
-          if !level1.contains((Set(cols(i)), b)) && !level1.contains((Set(cols(j)), b))
-        } mine(Seq(cols(i), cols(j)), b).foreach(out += _)
-      }
-      out.toSeq
+      val level1 = mine(for (a <- cols; b <- cols if a != b) yield (Seq(a), b))
+      level1 ++ (if (maxLhs < 2) Seq.empty
+                 else mine(FDep.minimalPairs(cols, level1.map(d => (d.lhs, d.rhs)))))
     }
     Result(deps, (System.nanoTime() - t0) / 1000000L)
   }

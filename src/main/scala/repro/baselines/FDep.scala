@@ -1,16 +1,15 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.PFDCheck
+import repro.core.{PFD, PFDCheck}
 import repro.core.discovery.Discovery
 
 /** Baseline: exact functional-dependency discovery in the spirit of
   * FDep [Flach & Savnik 1999], as used by the paper through Metanome.
   *
-  * Reports *minimal* exact FDs X → B with |X| ≤ `maxLhs` — an FD holds iff
-  * every X-group contains exactly one distinct B value, checked with one
-  * `groupBy(X)` aggregation per LHS covering all RHS candidates at once.
+  * Reports *minimal* exact FDs X → B with |X| ≤ `maxLhs`. X → B holds iff
+  * the table satisfies the all-`⊥` PFD ([[PFD.fd]]); each lattice level's
+  * candidates are checked together in one [[PFDCheck.unsatisfied]] query.
   * Exactness is the point of the comparison: over dirty data genuine
   * dependencies break (a single typo kills the FD) while near-key columns
   * spawn spurious ones — the failure mode §1.1 motivates PFDs with.
@@ -23,38 +22,30 @@ object FDep {
     val t0 = System.nanoTime()
     val deps = Discovery.cached(df0.drop(PFDCheck.TidCol)) { df =>
       val cols = df.columns.toSeq
-      val found = scala.collection.mutable.ArrayBuffer.empty[(Seq[String], String)]
 
-      def holds(lhs: Seq[String]): Seq[String] = {
-        val rhsCands = cols.filterNot(lhs.contains)
-        if (rhsCands.isEmpty) return Seq.empty
-        val aggs = rhsCands.map(b => countDistinct(col(b)) as s"__d_$b")
-        val maxed = df.groupBy(lhs.map(col): _*)
-          .agg(aggs.head, aggs.tail: _*)
-          .agg(rhsCands.map(b => max(col(s"__d_$b")) as s"__m_$b").head,
-               rhsCands.map(b => max(col(s"__d_$b")) as s"__m_$b").tail: _*)
-          .head()
-        rhsCands.filter(b => maxed.getAs[Long](s"__m_$b") <= 1L)
-      }
-
-      // level 1
-      val level1 = cols.map(a => a -> holds(Seq(a))).toMap
-      level1.foreach { case (a, bs) => bs.foreach(b => found += ((Seq(a), b))) }
-
-      // level 2 — only minimal FDs: skip any (pair, B) where a single attribute
-      // already determines B.
-      if (maxLhs >= 2) {
-        for {
-          i <- cols.indices; j <- (i + 1) until cols.size
-          a = cols(i); c = cols(j)
-        } {
-          val already = (level1(a) ++ level1(c)).toSet
-          val bs = holds(Seq(a, c)).filterNot(already.contains)
-          bs.foreach(b => found += ((Seq(a, c), b)))
+      def holding(cands: Seq[(Seq[String], String)]): Seq[(Seq[String], String)] =
+        if (cands.isEmpty) Seq.empty
+        else {
+          val broken = PFDCheck.unsatisfied(df, cands.map { case (x, b) => PFD.fd(x, b) })
+            .collect().map(_.getInt(0)).toSet
+          cands.indices.filterNot(broken).map(cands)
         }
-      }
-      found.toSeq
+
+      val level1 = holding(for (a <- cols; b <- cols if a != b) yield (Seq(a), b))
+      level1 ++ (if (maxLhs < 2) Seq.empty else holding(minimalPairs(cols, level1)))
     }
     Result(deps, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** The level-2 candidates {A, C} → B over `cols` that stay minimal: no
+    * single attribute A or C already determines B in `level1`.
+    */
+  private[baselines] def minimalPairs(cols: Seq[String], level1: Seq[(Seq[String], String)])
+      : Seq[(Seq[String], String)] = {
+    val determined = level1.map { case (x, b) => (x.head, b) }.toSet
+    for {
+      i <- cols.indices; j <- (i + 1) until cols.size; b <- cols
+      if b != cols(i) && b != cols(j) && !determined((cols(i), b)) && !determined((cols(j), b))
+    } yield (Seq(cols(i), cols(j)), b)
   }
 }

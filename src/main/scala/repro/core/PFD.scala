@@ -76,6 +76,12 @@ final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
   override def toString: String = render
 }
 
+object PFD {
+  /** The FD X → B as a PFD: one tableau row whose cells are all `⊥` (§2). */
+  def fd(lhs: Seq[String], rhs: String): PFD =
+    PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> (Wildcard: Cell)).toMap, Map(rhs -> Wildcard))))
+}
+
 /** PFD evaluation on DataFrames (§2.2), as one kernel of two queries over
   * any list of PFDs. It caches nothing, and every DataFrame it returns is
   * lazy.
@@ -87,9 +93,11 @@ final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
   * semantics group the participating tuples by their LHS equivalence keys;
   * `majority` annotates each tuple with its RHS key, its group's size and
   * the group's majority RHS key, taken among the tuples that match the RHS
-  * cell. Satisfaction, repair candidates (`flagged`, for `violations` and
+  * cell. A null matches no cell, `⊥` included. Satisfaction
+  * (`unsatisfied`), repair candidates (`flagged`, for `violations` and
   * `ErrorDetector`) and the generalization check (`validation`) are
-  * selections over these two.
+  * selections over these two; the FDep and CFDFinder baselines evaluate
+  * their FDs as all-`⊥` PFDs through them.
   */
 object PFDCheck {
 
@@ -203,16 +211,21 @@ object PFDCheck {
       .distinct()
   }
 
-  /** T ⊨ ψ — strict satisfaction: no single tuple violates a constant row,
-    * and in no LHS group of two or more tuples under any row does a tuple
-    * fail the RHS or disagree with another. Unlike `violations`, which
-    * flags only minority tuples for repair, satisfaction fails on any
-    * disagreement within an LHS group.
+  /** The indexes into `pfds` (column `pfd`) of the PFDs that `df` does not
+    * satisfy, as one lazy selection. T ⊨ ψ — strict satisfaction — when no
+    * single tuple violates a constant row, and in no LHS group of two or
+    * more tuples under any row does a tuple fail the RHS or disagree with
+    * another. Unlike `flagged`, which flags only minority tuples for repair,
+    * satisfaction fails on any disagreement within an LHS group.
     */
-  def satisfies(df: DataFrame, pfd: PFD): Boolean =
-    singleTuple(df, Seq(pfd)).isEmpty &&
-      majority(df, Seq(pfd), _ => true)
-        .filter(col("tot") > 1 && (col("rk").isNull || col("c") < col("tot"))).isEmpty
+  def unsatisfied(df: DataFrame, pfds: Seq[PFD]): DataFrame =
+    singleTuple(df, pfds).select("pfd")
+      .union(majority(df, pfds, _ => true)
+        .filter(col("tot") > 1 && (col("rk").isNull || col("c") < col("tot"))).select("pfd"))
+      .distinct()
+
+  /** T ⊨ ψ, by [[unsatisfied]]. */
+  def satisfies(df: DataFrame, pfd: PFD): Boolean = unsatisfied(df, Seq(pfd)).isEmpty
 
   /** One row (pfd, matched, violations) per candidate PFD of `pfds`, from
     * one majority query grouped by `pfd` (the index into `pfds`): the tuples

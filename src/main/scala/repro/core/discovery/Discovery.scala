@@ -45,10 +45,7 @@ final case class DiscoveredDep(
     f"cov=$coverage%.2f rows=$tableauSize"
 }
 
-final case class DiscoveryResult(
-    deps: Seq[DiscoveredDep],
-    profiles: Seq[ColumnProfile],
-    millis: Long)
+final case class DiscoveryResult(deps: Seq[DiscoveredDep], millis: Long)
 
 /** The PFD discovery algorithm of Fig. 4, on Spark DataFrames.
   *
@@ -86,46 +83,41 @@ object Discovery {
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
     cached(PFDCheck.withTid(df0)) { df =>
-      val (profiles, found) = dependencies(df, params)
-      DiscoveryResult(Generalizer.generalize(df, found, params), profiles,
+      DiscoveryResult(Generalizer.generalize(df, dependencies(df, params), params),
                       (System.nanoTime() - t0) / 1000000L)
     }
   }
 
-  /** The column profiles of `df` (which carries `__tid`) and every
-    * dependency of levels 1 and 2 as its constant PFD, each with its
-    * candidate variable PFD when `params.generalize` asks for one. The
-    * candidates are not validated here: [[Generalizer.generalize]]
+  /** Every dependency of `df` (which carries `__tid`) of levels 1 and 2 as
+    * its constant PFD, each with its candidate variable PFD when
+    * `params.generalize` asks for one. The candidates are not validated here: [[Generalizer.generalize]]
     * validates those of a whole discovery in one query. Level 1 mines the
     * lattice's root slice, the whole index with no conditioning cell, and
     * reports its pairs in (a, b) order.
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
-      : (Seq[ColumnProfile], Seq[(DiscoveredDep, Option[PFD])]) = {
+      : Seq[(DiscoveredDep, Option[PFD])] = {
     val n = df.count()
-    val profiles = Profiler.profile(df)
-    val quals = profiles.filter(_.isQualitative)
-    val found =
-      if (quals.size < 2) Seq.empty
-      else {
-        val attrs = quals.map(_.name)
-        val tokenized = quals.map(p => p.name -> p.useTokenize).toMap
-        val ix = mineEntries(PatternIndex.build(df, quals))
-        val trivial = trivialPatterns(ix, params, n)
-        val (entries, capDropped) = mine(ix, params, trivial)
-        logCapDropped(1, params, Seq(capDropped))
-        val root = Seq(Map.empty[String, Cell] -> entries)
-        val single = for {
-          a <- attrs.sorted; b <- attrs.sorted if a != b
-          d <- report(Seq(a), b, root, n, tokenized, params)
-        } yield d
-        val multi =
-          if (params.maxLhs >= 2)
-            discoverLevel2(ix, n, attrs, tokenized, trivial, params, single.map(_._1))
-          else Seq.empty
-        single ++ multi
-      }
-    (profiles, found)
+    val quals = Profiler.profile(df).filter(_.isQualitative)
+    if (quals.size < 2) Seq.empty
+    else {
+      val attrs = quals.map(_.name)
+      val tokenized = quals.map(p => p.name -> p.useTokenize).toMap
+      val ix = mineEntries(PatternIndex.build(df, quals))
+      val trivial = trivialPatterns(ix, params, n)
+      val (entries, capDropped) = mine(ix, params, trivial)
+      logCapDropped(1, params, Seq(capDropped))
+      val root = Seq(Map.empty[String, Cell] -> entries)
+      val single = for {
+        a <- attrs.sorted; b <- attrs.sorted if a != b
+        d <- report(Seq(a), b, root, n, tokenized, params)
+      } yield d
+      val multi =
+        if (params.maxLhs >= 2)
+          discoverLevel2(ix, n, attrs, tokenized, trivial, params, single.map(_._1))
+        else Seq.empty
+      single ++ multi
+    }
   }
 
   /** Run `body` on `d` cached, and unpersist it afterwards even on failure.

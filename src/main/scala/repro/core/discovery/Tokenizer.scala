@@ -37,14 +37,19 @@ object Tokenizer {
     out.result()
   }
 
-  /** The prefixes of `s` (offset 0) of length 1 to `maxPrefixLen`, plus the
-    * whole value when it is longer; `atEnd` marks the whole value. Linear in
-    * the value's length, which bounds challenge C2.
+  /** Longest prefix `prefixes` emits, in code points. */
+  val MaxPrefixLen = 12
+
+  /** The prefixes of `s` (offset 0) of 1 to `MaxPrefixLen` code points, plus
+    * the whole value when it is longer; `atEnd` marks the whole value. A
+    * prefix never ends inside a surrogate pair. Linear in the value's
+    * length, which bounds challenge C2.
     */
-  def prefixes(s: String, maxPrefixLen: Int = 12): Seq[Part] = {
+  def prefixes(s: String): Seq[Part] = {
     if (s == null || s.isEmpty) return Seq.empty
-    val n = s.length
-    val ps = (1 to math.min(n, maxPrefixLen)).map(l => Part(s.substring(0, l), 0, atEnd = l == n))
-    if (n > maxPrefixLen) ps :+ Part(s, 0, atEnd = true) else ps
+    val n = s.codePointCount(0, s.length)
+    val ps = (1 to math.min(n, MaxPrefixLen))
+      .map(l => Part(s.substring(0, s.offsetByCodePoints(0, l)), 0, atEnd = l == n))
+    if (n > MaxPrefixLen) ps :+ Part(s, 0, atEnd = true) else ps
   }
 }

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.data.DirtyData
 
 class FDepSpec extends SparkSpec {
 
@@ -27,9 +28,16 @@ class FDepSpec extends SparkSpec {
     val r = FDep.discover(clean, maxLhs = 1)
     assert(r.deps.count(_._1 == Seq("id")) == 3)
   }
+  private lazy val dirty = clean.withColumn("name",
+    when(col("id") === 2, lit("Computer Scienc")).otherwise(col("name")))
+
+  /** w = u XOR v: only the pair determines w. */
+  private lazy val xor = Seq(
+    ("a", "x", "1"), ("a", "y", "2"), ("b", "x", "2"), ("b", "y", "1"),
+    ("a", "x", "1"), ("b", "y", "1"))
+    .toDF("u", "v", "w")
+
   test("a single dirty cell kills the exact FD (why PFDs exist, §1.1)") {
-    val dirty = clean.withColumn("name",
-      when(col("id") === 2, lit("Computer Scienc")).otherwise(col("name")))
     val r = FDep.discover(dirty, maxLhs = 1)
     assert(!r.deps.contains((Seq("code"), "name")))
   }
@@ -38,11 +46,7 @@ class FDepSpec extends SparkSpec {
     assert(!r.deps.exists(d => d._1.contains("code") && d._1.size == 2 && d._2 == "name"))
   }
   test("a genuine two-attribute FD is found at level 2") {
-    val df = Seq(
-      ("a", "x", "1"), ("a", "y", "2"), ("b", "x", "2"), ("b", "y", "1"),
-      ("a", "x", "1"), ("b", "y", "1"))
-      .toDF("u", "v", "w")
-    val r = FDep.discover(df, maxLhs = 2)
+    val r = FDep.discover(xor, maxLhs = 2)
     assert(!r.deps.contains((Seq("u"), "w")) && !r.deps.contains((Seq("v"), "w")))
     assert(r.deps.contains((Seq("u", "v"), "w")))
   }
@@ -59,12 +63,51 @@ class FDepSpec extends SparkSpec {
     assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
   }
   test("Oracle cross-check: the FD-holds predicate matches SQL") {
-    val maxDistinct = clean.groupBy("code")
-      .agg(countDistinct(col("name")) as "d")
-      .agg(max(col("d")).cast("long") as "m")
-    repro.Oracle.assertEquivalent(
-      maxDistinct,
-      "SELECT max(d)::VARCHAR AS m FROM (SELECT count(DISTINCT name) AS d FROM t GROUP BY code)",
-      "t" -> clean.select($"code".cast("string") as "code", $"name"))
+    // X → B holds iff no non-null X group of two or more tuples has a null B
+    // or two distinct B values: the kernel's null rule, spelt in SQL
+    val cols = clean.columns.toSeq
+    val sql = (for (a <- cols; b <- cols if a != b) yield
+      s"""SELECT '$a' AS lhs, '$b' AS rhs WHERE NOT EXISTS (
+         |  SELECT 1 FROM t WHERE "$a" IS NOT NULL GROUP BY "$a"
+         |  HAVING count(*) > 1 AND (count(DISTINCT "$b") > 1 OR count("$b") < count(*)))"""
+        .stripMargin).mkString("\nUNION ALL\n")
+    val deps = FDep.discover(clean, maxLhs = 1).deps.map { case (x, b) => (x.head, b) }
+    repro.Oracle.assertEquivalent(deps.toDF("lhs", "rhs"), sql, "t" -> clean)
   }
+  test("null rule: a null LHS is in no group, and a null RHS in a group of two breaks the FD") {
+    val df = Seq(("a", "1", "x"), ("a", "1", "x"), (null, "2", "y"), (null, "3", "y"),
+                 ("b", "4", null), ("b", "4", "z")).toDF("k", "v", "w")
+    val deps = FDep.discover(df, maxLhs = 1).deps
+    // the two null-k tuples disagree on v, but form no group
+    assert(deps.contains((Seq("k"), "v")))
+    // the null w of group b disagrees with its z
+    assert(!deps.contains((Seq("k"), "w")))
+    // SQL's rule, which the reference keeps, decides both the other way
+    val reference = BaselineReference.fdep(df, maxLhs = 1)
+    assert(!reference.contains((Seq("k"), "v")) && reference.contains((Seq("k"), "w")))
+  }
+  test("one query per lattice level: 3 and 6 columns start the same number of jobs") {
+    val jobs = Seq(3, 6).map(k =>
+      countJobs(FDep.discover(BaselineReference.independentColumns(spark, k), maxLhs = 2)))
+    assert(jobs.head == jobs.last, s"jobs on 3 and 6 columns: $jobs")
+  }
+  test("deps equal the reference formulation's on T7 and this suite's tables, which hold no null") {
+    val t7 = DirtyData.table(spark, 7).df
+    for ((name, df) <- Seq("T7" -> t7, "clean" -> clean, "dirty" -> dirty, "xor" -> xor)) {
+      assert(!BaselineReference.hasNull(df), name)
+      assert(FDep.discover(df, maxLhs = 2).deps == BaselineReference.fdep(df, maxLhs = 2), name)
+    }
+  }
+
+  // Opt-in (PAPER_SIZE_CHECKS=1): T1–T15 at paper size, Table 7's setting.
+  if (sys.env.get("PAPER_SIZE_CHECKS").contains("1"))
+    test("paper size: deps equal the reference formulation's on T1–T15") {
+      for (id <- 1 to 15) {
+        val df = DirtyData.table(spark, id).df.cache()
+        try {
+          assert(!BaselineReference.hasNull(df), s"T$id")
+          assert(FDep.discover(df, maxLhs = 2).deps == BaselineReference.fdep(df, maxLhs = 2), s"T$id")
+        } finally df.unpersist()
+      }
+    }
 }

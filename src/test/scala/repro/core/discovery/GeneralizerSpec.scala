@@ -117,7 +117,7 @@ class GeneralizerSpec extends SparkSpec {
 
   test("batched validation on T13 equals each candidate validated alone") {
     val t13 = DirtyData.table(spark, 13, scale = 0.01).df
-    val candidates = Discovery.dependencies(t13, Params(maxLhs = 2))._2.flatMap(_._2)
+    val candidates = Discovery.dependencies(t13, Params(maxLhs = 2)).flatMap(_._2)
     val batched = validate(t13, candidates)
     assert(batched == candidates.map(c => validate(t13, Seq(c)).head))
     val decisions = batched.map(accepts(_, Params()))
@@ -154,7 +154,7 @@ class GeneralizerSpec extends SparkSpec {
     val wider = base
       .withColumn("initial", substring(col("name"), 1, 1))
       .withColumn("title", when(col("gender") === "M", "Mr").otherwise("Ms"))
-    def candidates(df: DataFrame) = Discovery.dependencies(df, Params())._2.count(_._2.isDefined)
+    def candidates(df: DataFrame) = Discovery.dependencies(df, Params()).count(_._2.isDefined)
     assert(candidates(base) == 2 && candidates(wider) == 12)
     def added(df: DataFrame) = countJobs(Discovery.discover(df, Params())) -
       countJobs(Discovery.discover(df, Params(generalize = false)))

@@ -47,7 +47,7 @@ class TokenizerSpec extends AnyFunSuite with PropHelper {
     }, 40)
   }
   test("long values degrade to capped prefixes and the full value") {
-    val s = "12345678901234567890" // 20 chars > maxPrefixLen
+    val s = "12345678901234567890" // 20 chars > MaxPrefixLen
     assert(prefixes(s) ==
       (1 to 12).map(l => Part(s.take(l), 0, atEnd = false)) :+ Part(s, 0, atEnd = true))
   }
