@@ -79,7 +79,7 @@ final case class PFD(lhs: Seq[String], rhs: Seq[String], tableau: Seq[PTuple]) {
 object PFD {
   /** The FD X → B as a PFD: one tableau row whose cells are all `⊥` (§2). */
   def fd(lhs: Seq[String], rhs: String): PFD =
-    PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> (Wildcard: Cell)).toMap, Map(rhs -> Wildcard))))
+    PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> Wildcard).toMap, Map(rhs -> Wildcard))))
 }
 
 /** PFD evaluation on DataFrames (§2.2), as one kernel of two queries over

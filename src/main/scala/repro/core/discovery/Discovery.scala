@@ -90,10 +90,10 @@ object Discovery {
 
   /** Every dependency of `df` (which carries `__tid`) of levels 1 and 2 as
     * its constant PFD, each with its candidate variable PFD when
-    * `params.generalize` asks for one. The candidates are not validated here: [[Generalizer.generalize]]
-    * validates those of a whole discovery in one query. Level 1 mines the
-    * lattice's root slice, the whole index with no conditioning cell, and
-    * reports its pairs in (a, b) order.
+    * `params.generalize` asks for one. The candidates are not validated
+    * here: [[Generalizer.generalize]] validates those of a whole discovery
+    * in one query. Level 1 mines the lattice's root slice, the whole index
+    * with no conditioning cell, and reports its pairs in (a, b) order.
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
       : Seq[(DiscoveredDep, Option[PFD])] = {

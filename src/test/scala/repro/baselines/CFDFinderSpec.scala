@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.DirtyData
 
@@ -16,7 +16,7 @@ class CFDFinderSpec extends SparkSpec {
     (0 until 50).map(_ => ("10001", "New York")) :+ (("90001", "Los Angelos")))
     .toDF("zip", "city")
 
-  /** Three values with 3 rows each and 60 singletons. */
+  /** One LHS value with 3 rows (below K = 5), and 60 singletons. */
   private lazy val infrequent =
     ((0 until 3).map(_ => ("A", "x")) ++ (0 until 60).map(i => (s"B$i", "y"))).toDF("k", "v")
 
@@ -32,9 +32,7 @@ class CFDFinderSpec extends SparkSpec {
      (0 until 46).flatMap(i => Seq((s"u$i", "w1"), (s"u$i", "w2"))))
       .toDF("k", "v")
 
-  /** Zip *prefixes* determine the city; full zips repeat only 3 times each
-    * and 2% of cities are typos.
-    */
+  /** Zip *prefixes* determine the city, full zips do not (see its test). */
   private lazy val prefixZips = (0 until 150).map { i =>
     val city = if (i % 50 == 0) "Los Angelos" else if (i < 75) "Los Angeles" else "Chicago"
     (f"${if (i < 75) 900 else 606}${(i / 3) % 25}%02d", city)
@@ -121,21 +119,20 @@ class CFDFinderSpec extends SparkSpec {
     assert(jobs.head == jobs.last, s"jobs on 3 and 6 columns: $jobs")
   }
   test("deps, rules and coverage equal the reference formulation's on T7 and this suite's tables") {
-    def same(name: String, df: DataFrame, maxLhs: Int): Unit = {
+    def same(name: String, df: DataFrame, conf: Double, support: Int, cover: Double,
+             maxLhs: Int): Unit = {
       assert(!BaselineReference.hasNull(df), name)
-      // this suite's looser setting, so that the small tables yield rules
-      val (conf, support, cover) =
-        if (name == "T7") (0.995, 5, 0.10) else (0.98, 2, 0.01)
       val ours = CFDFinder.discover(df, conf, support, cover, maxLhs).deps
-      assert(ours.nonEmpty || name == "lowCoverage", name)
+      assert(ours.nonEmpty, name)
       assert(BaselineReference.comparable(ours) ==
         BaselineReference.comparable(BaselineReference.cfdFinder(df, conf, support, cover, maxLhs)),
         name)
     }
-    same("T7", DirtyData.table(spark, 7).df, maxLhs = 1)
+    // Table 7's setting on T7; a looser one on the small tables, so that they yield rules
+    same("T7", DirtyData.table(spark, 7).df, 0.995, 5, 0.10, maxLhs = 1)
     for ((name, df) <- Seq("zips" -> zips, "infrequent" -> infrequent, "approxFd" -> approxFd,
                            "lowCoverage" -> lowCoverage, "prefixZips" -> prefixZips, "xor" -> xor))
-      same(name, df, maxLhs = 2)
+      same(name, df, 0.98, 2, 0.01, maxLhs = 2)
   }
 
   // Opt-in (PAPER_SIZE_CHECKS=1): T1–T15 at paper size, Table 7's setting.
