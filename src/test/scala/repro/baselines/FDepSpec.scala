@@ -15,6 +15,15 @@ class FDepSpec extends SparkSpec {
     ("MA", "Mathematics", "B", 5), ("MA", "Mathematics", "C", 6))
     .toDF("code", "name", "grade", "id")
 
+  private lazy val dirty = clean.withColumn("name",
+    when(col("id") === 2, lit("Computer Scienc")).otherwise(col("name")))
+
+  /** w = u XOR v: only the pair determines w. */
+  private lazy val xor = Seq(
+    ("a", "x", "1"), ("a", "y", "2"), ("b", "x", "2"), ("b", "y", "1"),
+    ("a", "x", "1"), ("b", "y", "1"))
+    .toDF("u", "v", "w")
+
   test("exact FDs are found on clean data (code → name)") {
     val r = FDep.discover(clean, maxLhs = 1)
     assert(r.deps.contains((Seq("code"), "name")))
@@ -29,15 +38,6 @@ class FDepSpec extends SparkSpec {
     val r = FDep.discover(clean, maxLhs = 1)
     assert(r.deps.count(_._1 == Seq("id")) == 3)
   }
-  private lazy val dirty = clean.withColumn("name",
-    when(col("id") === 2, lit("Computer Scienc")).otherwise(col("name")))
-
-  /** w = u XOR v: only the pair determines w. */
-  private lazy val xor = Seq(
-    ("a", "x", "1"), ("a", "y", "2"), ("b", "x", "2"), ("b", "y", "1"),
-    ("a", "x", "1"), ("b", "y", "1"))
-    .toDF("u", "v", "w")
-
   test("a single dirty cell kills the exact FD (why PFDs exist, §1.1)") {
     val r = FDep.discover(dirty, maxLhs = 1)
     assert(!r.deps.contains((Seq("code"), "name")))
