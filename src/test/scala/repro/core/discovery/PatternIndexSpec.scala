@@ -106,4 +106,10 @@ class PatternIndexSpec extends SparkSpec {
     val tokens = PatternIndex.build(Seq("x𝐀y").toDF("code"), Seq(code)).collect().map(_.getString(2))
     assert(tokens.toSeq == Seq("x", "x𝐀", "x𝐀y"))
   }
+  test("a value of letters outside the BMP is informative: 𝐀𝐁 yields its prefixes") {
+    import spark.implicits._
+    val code = ColumnProfile("code", isQualitative = true, useTokenize = false, nonNull = 1)
+    val rows = PatternIndex.build(Seq("𝐀𝐁").toDF("code"), Seq(code)).collect()
+    assert(rows.map(r => (r.getString(2), r.getInt(3))).toSeq == Seq(("𝐀", 0), ("𝐀𝐁", 0)))
+  }
 }

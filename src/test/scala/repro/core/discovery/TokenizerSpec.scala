@@ -29,6 +29,11 @@ class TokenizerSpec extends AnyFunSuite with PropHelper {
     assert(!ts.head.atEnd && ts.last.atEnd)
     assert(!tokens("John Smith ").last.atEnd)
   }
+  test("a letter outside the BMP is a letter, not a separator") {
+    // U+1D400 (𝐀) is two UTF-16 chars, neither of which is a letter alone
+    assert(tokens("x𝐀y").map(_.token) == Seq("x𝐀y"))
+    assert(tokens("Ann 𝐀lpha").map(t => (t.token, t.pos)) == Seq(("Ann", 0), ("𝐀lpha", 1)))
+  }
   test("prefixes of a short value, atEnd on the whole value") {
     assert(prefixes("abc") == Seq(Part("a", 0, false), Part("ab", 0, false), Part("abc", 0, true)))
   }
