@@ -190,14 +190,14 @@ object Discovery {
     val notFullB = new Array[Boolean](ix.size)
     val touched = new Array[Int](ix.size)
     val best = Array.fill(ix.attrNames.length)(-1)
-    val len = ix.token.map(PatternIndex.cpLength)
+    val len = ix.token.map(CodePoints.length)
     // best RHS pattern: most specific first (substring pruning guarantees a
     // longer pattern is never dominated spuriously), then most frequent.
     def better(b: Int, c: Int): Boolean =
       if (len(b) != len(c)) len(b) > len(c)
       else if (cj(b) != cj(c)) cj(b) > cj(c)
       else {
-        val t = PatternIndex.cpCompare(ix.token(b), ix.token(c))
+        val t = CodePoints.compare(ix.token(b), ix.token(c))
         if (t != 0) t < 0 else ix.pos(b) < ix.pos(c)
       }
     val entries = mutable.ArrayBuffer.empty[Entry]
@@ -391,7 +391,7 @@ object Discovery {
     } yield ix.attrName(i) -> (ix.token(i), rows.map(ix.tid).toArray)
     values.groupMap(_._1)(_._2).map { case (a, vs) =>
       a -> vs.sortWith { case ((v, ts), (w, us)) =>
-        ts.length > us.length || ts.length == us.length && PatternIndex.cpCompare(v, w) < 0
+        ts.length > us.length || ts.length == us.length && CodePoints.compare(v, w) < 0
       }.take(params.maxConditionValues)
     }
   }

@@ -3,7 +3,7 @@ package repro.core.discovery
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.core.PFDCheck
+import repro.core.{CodePoints, PFDCheck}
 import scala.collection.mutable
 
 /** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
@@ -41,17 +41,12 @@ object PatternIndex {
     val names = useful.map(_.name).toArray
     val tokenize = useful.map(_.useTokenize).toArray
 
-    // Pure-symbol substrings (a lone space or dash) carry no semantics —
-    // tokenization already discards them as separators, and keeping them as
-    // n-grams lets junk like "city has a space at offset 3" pass f.
-    def informative(t: String): Boolean = t.exists(_.isLetterOrDigit)
-
     val extractor = udf { (vs: Seq[String]) =>
       vs.indices.flatMap { i =>
         val s = vs(i)
         if (s == null) Seq.empty
         else if (tokenize(i))
-          Tokenizer.tokens(s).filter(t => informative(t.token))
+          Tokenizer.tokens(s).filter(t => Tokenizer.informative(t.token))
             .map(t => (names(i), t.token, t.pos, t.pos == 0 && t.atEnd)) :+
             ((names(i), s, FullValuePos, true))
         else
@@ -60,8 +55,8 @@ object PatternIndex {
           // mid-string offsets mostly surface positional coincidences
           // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
           // also bounds C2 linearly instead of quadratically.
-          if (!informative(s)) Seq((names(i), s, SymbolValuePos, true))
-          else Tokenizer.prefixes(s).filter(t => informative(t.token))
+          if (!Tokenizer.informative(s)) Seq((names(i), s, SymbolValuePos, true))
+          else Tokenizer.prefixes(s).filter(t => Tokenizer.informative(t.token))
             .map(t => (names(i), t.token, t.pos, t.atEnd))
       }
     }
@@ -160,21 +155,6 @@ object PatternIndex {
     */
   final case class Pruned(kept: Array[Int], capDropped: Map[String, Int])
 
-  /** Length in code points, as Spark's `length`. */
-  private[discovery] def cpLength(s: String): Int = s.codePointCount(0, s.length)
-
-  /** Code-point order, as Spark's string order (UTF-8 bytes). */
-  private[discovery] def cpCompare(a: String, b: String): Int = {
-    var i = 0
-    while (i < a.length && i < b.length) {
-      val ca = a.codePointAt(i)
-      val cb = b.codePointAt(i)
-      if (ca != cb) return Integer.compare(ca, cb)
-      i += Character.charCount(ca)
-    }
-    Integer.compare(a.length - i, b.length - i)
-  }
-
   /** Substring pruning and the pattern cap, per attribute. Of patterns
     * with exactly the same tid set the most specific survives (longest
     * token, then lowest pos, then lowest token); of the survivors the
@@ -182,7 +162,7 @@ object PatternIndex {
     * kept. Patterns at `SymbolValuePos` take no part.
     */
   def prune(ix: Interned, maxPatternsPerAttr: Int): Pruned = {
-    val len = ix.token.map(cpLength)
+    val len = ix.token.map(CodePoints.length)
     val sorted = ix.tid.clone()
     for (i <- 0 until ix.size) java.util.Arrays.sort(sorted, ix.start(i), ix.start(i + 1))
     def sameTids(i: Int, j: Int): Boolean =
@@ -195,7 +175,7 @@ object PatternIndex {
     def moreSpecific(i: Int, j: Int): Boolean =
       if (len(i) != len(j)) len(i) > len(j)
       else if (ix.pos(i) != ix.pos(j)) ix.pos(i) < ix.pos(j)
-      else cpCompare(ix.token(i), ix.token(j)) < 0
+      else CodePoints.compare(ix.token(i), ix.token(j)) < 0
 
     // one representative per class of equal tid sets within an attribute
     val reps = mutable.HashMap.empty[(Int, Int, Int), List[Int]]
@@ -212,7 +192,7 @@ object PatternIndex {
       if (ix.cnt(i) != ix.cnt(j)) Integer.compare(ix.cnt(j), ix.cnt(i))
       else if (len(i) != len(j)) Integer.compare(len(j), len(i))
       else {
-        val t = cpCompare(ix.token(i), ix.token(j))
+        val t = CodePoints.compare(ix.token(i), ix.token(j))
         if (t != 0) t else Integer.compare(ix.pos(i), ix.pos(j))
       }
     val perAttr = reps.values.flatten.toArray.groupBy(ix.attr(_))

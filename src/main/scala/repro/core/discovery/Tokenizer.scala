@@ -1,5 +1,7 @@
 package repro.core.discovery
 
+import repro.core.CodePoints
+
 /** Partial-value extraction (restriction (i) of §4.2).
   *
   * `tokens` splits on special characters — strong signals for meaningful
@@ -15,7 +17,18 @@ object Tokenizer {
     */
   final case class Part(token: String, pos: Int, atEnd: Boolean)
 
-  private def isSep(c: Char): Boolean = !c.isLetterOrDigit
+  /** Whether the code point at index `i` of `s` is a separator: anything
+    * but a letter or digit, tested per code point so that a letter outside
+    * the BMP is one letter, not two separators.
+    */
+  private def isSep(s: String, i: Int): Boolean = !Character.isLetterOrDigit(s.codePointAt(i))
+
+  /** Whether `s` holds a letter or digit, per code point. Pure-symbol
+    * substrings (a lone space or dash) carry no semantics: tokenization
+    * discards them as separators, and as n-grams they let junk like "city
+    * has a space at offset 3" pass f.
+    */
+  def informative(s: String): Boolean = s.codePoints().anyMatch(Character.isLetterOrDigit(_))
 
   /** Split into separator-delimited tokens with token indexes. */
   def tokens(s: String): Seq[Part] = {
@@ -24,11 +37,12 @@ object Tokenizer {
     var i = 0
     var pos = 0
     val n = s.length
+    def next(i: Int): Int = s.offsetByCodePoints(i, 1)
     while (i < n) {
-      while (i < n && isSep(s(i))) i += 1
+      while (i < n && isSep(s, i)) i = next(i)
       if (i < n) {
         val start = i
-        while (i < n && !isSep(s(i))) i += 1
+        while (i < n && !isSep(s, i)) i = next(i)
         // trailing separators still mean "not at end" for boundary purposes
         out += Part(s.substring(start, i), pos, atEnd = i == n)
         pos += 1
@@ -47,7 +61,7 @@ object Tokenizer {
     */
   def prefixes(s: String): Seq[Part] = {
     if (s == null || s.isEmpty) return Seq.empty
-    val n = s.codePointCount(0, s.length)
+    val n = CodePoints.length(s)
     val ps = (1 to math.min(n, MaxPrefixLen))
       .map(l => Part(s.substring(0, s.offsetByCodePoints(0, l)), 0, atEnd = l == n))
     if (n > MaxPrefixLen) ps :+ Part(s, 0, atEnd = true) else ps
