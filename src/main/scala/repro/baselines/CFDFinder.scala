@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions._
 import repro.core.{PFD, PFDCheck}
 import repro.core.discovery.Discovery
 
@@ -17,9 +17,10 @@ import repro.core.discovery.Discovery
   * when its rules cover ≥ `minCoverage` of the records, or when the whole
   * embedded FD holds approximately at the confidence threshold (a variable
   * CFD). Each candidate is the all-`⊥` PFD ([[PFD.fd]]), and a rule is one
-  * of its LHS groups read from one [[PFDCheck.majority]] query per lattice
-  * level. Like FDep, it never looks inside values — the contrast the paper
-  * draws with PFDs.
+  * of its LHS groups ([[PFDCheck.groups]]). One query per lattice level
+  * returns, per candidate, its rule groups and the sum of its groups'
+  * majority counts. Like FDep, it never looks inside values — the contrast
+  * the paper draws with PFDs.
   */
 object CFDFinder {
 
@@ -43,22 +44,25 @@ object CFDFinder {
       def mine(cands: Seq[(Seq[String], String)]): Seq[Dep] =
         if (cands.isEmpty) Seq.empty
         else {
-          // per candidate, one (key, majority RHS key, its count, size) per
-          // LHS group; a group whose RHS values are all null has no majority
-          val groups = PFDCheck.majority(df, cands.map { case (x, b) => PFD.fd(x, b) }, _ => true)
-            .select("pfd", "lkey", "majk", "majc", "tot").distinct()
-            .where(col("majk").isNotNull)
+          // per candidate, the sum of its LHS groups' majority counts and
+          // the groups that are rules, both taken on the executors; a group
+          // whose RHS values are all null has no majority
+          val isRule = col("majk").isNotNull && col("tot") >= minSupport &&
+            col("majc") / col("tot") >= confidence
+          val perCand = PFDCheck.groups(df, cands.map { case (x, b) => PFD.fd(x, b) }, _ => true)
+            .groupBy("pfd")
+            .agg(sum("majc") as "best",
+                 collect_list(when(isRule, struct("lkey", "majk", "majc", "tot"))) as "rules")
             .collect()
-            .groupMap(_.getInt(0))(g => (g.getSeq[String](1), g.getString(2), g.getLong(3), g.getLong(4)))
+            .map(r => r.getInt(0) -> ((r.getLong(1), r.getSeq[Row](2))))
+            .toMap
           for {
             ((lhs, b), i) <- cands.zipWithIndex
-            gs = groups.getOrElse(i, Array.empty[(Seq[String], String, Long, Long)]).toSeq
-            rules = for {
-              (lkey, majk, majc, tot) <- gs
-              if tot >= minSupport && majc.toDouble / tot >= confidence
-            } yield Rule(lkey, majk, tot, majc.toDouble / tot)
+            (best, groups) = perCand.getOrElse(i, (0L, Seq.empty[Row]))
+            rules = groups.map(g => Rule(g.getSeq[String](0), g.getString(1), g.getLong(3),
+                                         g.getLong(2).toDouble / g.getLong(3)))
             covered = rules.map(_.support).sum.toDouble / n
-            variable = gs.map(_._3).sum.toDouble / n >= confidence
+            variable = best.toDouble / n >= confidence
             if variable || (rules.nonEmpty && covered >= minCoverage)
           } yield Dep(lhs, b, rules, variable, covered)
         }

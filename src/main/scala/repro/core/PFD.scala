@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** A tableau cell: the wildcard `⊥` or a disjunction of constrained patterns.
   *
@@ -91,13 +91,13 @@ object PFD {
   * participating tuple whose RHS fails the row's cell (single-tuple
   * semantics, Example 6) — `singleTuple` finds these in one scan. Pair
   * semantics group the participating tuples by their LHS equivalence keys;
-  * `majority` annotates each tuple with its RHS key, its group's size and
-  * the group's majority RHS key, taken among the tuples that match the RHS
-  * cell. A null matches no cell, `⊥` included. Satisfaction
-  * (`unsatisfied`), repair candidates (`flagged`, for `violations` and
-  * `ErrorDetector`) and the generalization check (`validation`) are
-  * selections over these two; the FDep and CFDFinder baselines evaluate
-  * their FDs as all-`⊥` PFDs through them.
+  * `groups` returns one row per LHS group with its size, its majority RHS
+  * key ([[majorityOf]], taken among the tuples that match the RHS cell) and
+  * its members, from one hash aggregation. A null matches no cell, `⊥`
+  * included. Satisfaction (`unsatisfied`), repair candidates (`flagged`,
+  * for `violations` and `ErrorDetector`) and the generalization check
+  * (`validation`) are selections over these two; the FDep and CFDFinder
+  * baselines evaluate their FDs as all-`⊥` PFDs through them.
   */
 object PFDCheck {
 
@@ -143,18 +143,14 @@ object PFDCheck {
               col("v._4") as "value")
   }
 
-  /** Pair semantics for the tableau rows of `pfds` that `rows` selects, in
-    * one majority query. A UDF keys each participating tuple once per
-    * (PFD `pfd`, row `row`, RHS attribute `attr`) by its LHS key array
-    * `lkey`, with its RHS key `rk` (null when the RHS cell fails) and
-    * `value`; windows over (pfd, row, attr, lkey) add the count `c` of the
-    * tuple's RHS key in its group, the group size `tot`, and the group's
-    * majority key `majk` with its count `majc`. The majority is taken among
-    * non-null keys, so `majk` is null only when every tuple fails the RHS.
+  /** The tuples that participate in the tableau rows of `pfds` that `rows`
+    * selects, keyed by a UDF once per (PFD `pfd`, row `row`, RHS attribute
+    * `attr`): the LHS key array `lkey`, the RHS key `rk` (null when the RHS
+    * cell fails) and `value`. Columns: __tid, pfd, row, attr, lkey, rk, value.
     */
-  def majority(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
+  private[core] def keyed(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
     val (vals, checks) = compile(pfds, rows)
-    val keyed = udf { (vs: Seq[String]) =>
+    val keys = udf { (vs: Seq[String]) =>
       checks.flatMap { case (i, r, lhs, rhs) =>
         val lkey = lhs.map { case (j, c) => Option(vs(j)).flatMap(c.key) }
         if (lkey.exists(_.isEmpty)) Nil
@@ -163,18 +159,44 @@ object PFDCheck {
         }
       }
     }
-    val group = Window.partitionBy("pfd", "row", "attr", "lkey")
-    val majorityFirst = group.orderBy(col("rk").isNull.asc, col("c").desc, col("rk").asc)
     withTid(df)
-      .select(col(TidCol), explode(keyed(vals)) as "k")
+      .select(col(TidCol), explode(keys(vals)) as "k")
       .select(col(TidCol), col("k._1") as "pfd", col("k._2") as "row", col("k._3") as "attr",
               col("k._4") as "lkey", col("k._5") as "rk", col("k._6") as "value")
-      // one shuffle serves every window below: all partition by (pfd, row, attr, lkey, …)
-      .repartition(col("pfd"), col("row"), col("attr"), col("lkey"))
-      .withColumn("c", count(lit(1)).over(Window.partitionBy("pfd", "row", "attr", "lkey", "rk")))
-      .withColumn("tot", count(lit(1)).over(group))
-      .withColumn("majk", first("rk").over(majorityFirst))
-      .withColumn("majc", first("c").over(majorityFirst))
+  }
+
+  /** The majority key of one LHS group's RHS keys `rks` and its count. Null
+    * keys (tuples failing the RHS cell) are skipped; of the keys with the
+    * highest count the least in code-point order wins, as in Spark's string
+    * order. `(null, 0)` when every key is null.
+    */
+  def majorityOf(rks: Iterable[String]): (String, Long) = {
+    val counts = mutable.HashMap.empty[String, Long]
+    rks.foreach(k => if (k != null) counts(k) = counts.getOrElse(k, 0L) + 1)
+    counts.foldLeft((null: String, 0L)) { case (best @ (bk, bc), (k, c)) =>
+      if (c > bc || c == bc && CodePoints.compare(k, bk) < 0) (k, c) else best
+    }
+  }
+
+  /** Pair semantics for the tableau rows of `pfds` that `rows` selects, in
+    * one hash aggregation of the [[keyed]] tuples by (pfd, row, attr, lkey):
+    * one row per LHS group, with its size `tot`, its [[majorityOf]] key
+    * `majk` and count `majc`, and its `members` (structs of __tid, rk,
+    * value). `majk` is null only when every member fails the RHS cell. A
+    * group's members are collected in one task, so the largest group must
+    * fit in one task's memory.
+    */
+  def groups(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
+    val majorityUdf = udf((rks: Seq[String]) => majorityOf(rks))
+    keyed(df, pfds, rows)
+      .groupBy("pfd", "row", "attr", "lkey")
+      // structs, not bare keys: collect_list drops nulls, and a null rk counts
+      .agg(collect_list(struct(col(TidCol), col("rk"), col("value"))) as "members")
+      .select(col("pfd"), col("row"), col("attr"), col("lkey"),
+              size(col("members")).cast("long") as "tot", majorityUdf(col("members.rk")) as "m",
+              col("members"))
+      .select(col("pfd"), col("row"), col("attr"), col("lkey"), col("tot"),
+              col("m._1") as "majk", col("m._2") as "majc", col("members"))
   }
 
   /** Repair candidates of `pfds` (§5.3): single-tuple violations of the
@@ -185,13 +207,15 @@ object PFDCheck {
     */
   def flagged(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
     val single = singleTuple(df, pfds).withColumn("pair", lit(false))
-    // planning the majority query costs more than running the single-tuple
+    // planning the group query costs more than running the single-tuple
     // scan on a small table, so it is only built when some row needs it
     if (pfds.forall(_.tableau.forall(_.isConstantRow))) single
-    else single.unionByName(majority(df, pfds, !_.isConstantRow)
-      .filter(col("tot") > 1 && col("majc") * 2 > col("tot") &&
-              (col("rk").isNull || col("rk") =!= col("majk")))
-      .select(col(TidCol), col("pfd"), col("row"), col("attr"), col("value"), lit(true) as "pair"))
+    else single.unionByName(groups(df, pfds, !_.isConstantRow)
+      .where(col("tot") > 1 && col("majc") * 2 > col("tot"))
+      .select(col("pfd"), col("row"), col("attr"), col("majk"), explode(col("members")) as "m")
+      .where(col("m.rk").isNull || col("m.rk") =!= col("majk"))
+      .select(col(s"m.$TidCol") as TidCol, col("pfd"), col("row"), col("attr"),
+              col("m.value") as "value", lit(true) as "pair"))
   }
 
   /** Repair candidates of `pfd` over `df`, with the RHS literal as
@@ -220,23 +244,22 @@ object PFDCheck {
     */
   def unsatisfied(df: DataFrame, pfds: Seq[PFD]): DataFrame =
     singleTuple(df, pfds).select("pfd")
-      .union(majority(df, pfds, _ => true)
-        .filter(col("tot") > 1 && (col("rk").isNull || col("c") < col("tot"))).select("pfd"))
+      .union(groups(df, pfds, _ => true)
+        .where(col("tot") > 1 && col("majc") < col("tot")).select("pfd"))
       .distinct()
 
   /** T ⊨ ψ, by [[unsatisfied]]. */
   def satisfies(df: DataFrame, pfd: PFD): Boolean = unsatisfied(df, Seq(pfd)).isEmpty
 
   /** One row (pfd, matched, violations) per candidate PFD of `pfds`, from
-    * one majority query grouped by `pfd` (the index into `pfds`): the tuples
-    * that participate in a tableau row, and those off their group's
-    * majority RHS key: failing the RHS cell or holding another key (a tie
-    * counts one side). A PFD that no tuple matches has no row. Lazy: the
-    * caller runs the action.
+    * its [[groups]] summed by `pfd` (the index into `pfds`): the tuples that
+    * participate in a tableau row, and those off their group's majority RHS
+    * key: failing the RHS cell or holding another key (a tie counts one
+    * side). A PFD that no tuple matches has no row. Lazy: the caller runs
+    * the action.
     */
   def validation(df: DataFrame, pfds: Seq[PFD]): DataFrame =
-    majority(df, pfds, _ => true)
+    groups(df, pfds, _ => true)
       .groupBy("pfd")
-      .agg(count(lit(1)) as "matched",
-           count(when(col("rk").isNull || col("rk") =!= col("majk"), 1)) as "violations")
+      .agg(sum("tot") as "matched", sum(col("tot") - col("majc")) as "violations")
 }

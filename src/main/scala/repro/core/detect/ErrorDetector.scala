@@ -13,7 +13,9 @@ import repro.core.discovery.DiscoveredDep
   * disagreement: within a group of LHS-equivalent tuples, the tuples
   * deviating from the strict-majority RHS key are flagged (the majority is
   * the inferred correct value — the paper's "the PFD will change t[B]
-  * according to the PFD").
+  * according to the PFD"). The groups come from one hash aggregation over
+  * every variable PFD ([[PFDCheck.groups]]), which explodes only the
+  * flagged members.
   *
   * The result is lazy and caches nothing. Output columns: `__tid`, `attr`
   * (the flagged RHS cell), `value`, `dep`.

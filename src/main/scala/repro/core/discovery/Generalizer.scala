@@ -11,7 +11,8 @@ import repro.core._
   * attribute — including those below the minimum support — and accept the
   * variable PFD iff the violation ratio stays below δ. Discovery builds the
   * candidate of every dependency first ([[candidate]], levels 1 and 2) and
-  * then validates them all in one majority query ([[generalize]]).
+  * then validates them all in one query over their LHS groups
+  * ([[generalize]]).
   */
 object Generalizer {
 
@@ -124,9 +125,10 @@ object Generalizer {
   }
 
   /** (matched, violations) of each candidate on the whole table, from one
-    * majority query over all of them ([[PFDCheck.validation]]); a candidate
-    * that no tuple matches counts (0, 0). No candidate, no query. The
-    * Spark action runs here, so traces charge it to generalization.
+    * query over the LHS groups of all of them, summed per candidate on the
+    * executors ([[PFDCheck.validation]]); a candidate that no tuple matches
+    * counts (0, 0). No candidate, no query. The Spark action runs here, so
+    * traces charge it to generalization.
     */
   private[discovery] def validate(df: DataFrame, candidates: Seq[PFD]): Seq[(Long, Long)] =
     if (candidates.isEmpty) Seq.empty

@@ -130,6 +130,13 @@ class PFDSpec extends SparkSpec {
     val d = Seq(("Susan A", null), ("Susan B", null), ("Susan C", "F")).toDF("name", "gender")
     assert(PFDCheck.violations(d, psi2).isEmpty)
   }
+  test("a group whose every tuple fails the RHS cell has no majority and flags nothing") {
+    import spark.implicits._
+    val d = Seq(("Susan A", null: String), ("Susan B", null: String)).toDF("name", "gender")
+    assert(!PFDCheck.satisfies(d, psi2))
+    assert(PFDCheck.violations(d, psi2).isEmpty)
+    assert(PFDCheck.validation(d, Seq(psi2)).as[(Int, Long, Long)].collect().toSeq == Seq((0, 2L, 2L)))
+  }
   test("violations and satisfies on an uncached input leave nothing cached") {
     spark.catalog.clearCache()
     PFDCheck.violations(d1, psi1).collect()
