@@ -97,8 +97,8 @@ object Discovery {
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
       : Seq[(DiscoveredDep, Option[PFD])] = {
-    val n = df.count()
-    val quals = Profiler.profile(df).filter(_.isQualitative)
+    val (n, profiles) = Profiler.profileWithCount(df)
+    val quals = profiles.filter(_.isQualitative)
     if (quals.size < 2) Seq.empty
     else {
       val attrs = quals.map(_.name)

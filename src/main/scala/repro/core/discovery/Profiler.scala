@@ -23,16 +23,20 @@ final case class ColumnProfile(
 
 object Profiler {
 
-  /** Fraction of non-null values in `c` matching `rx` plus shape stats,
-    * computed in one aggregate per table with no sketches. The distinct
-    * value lengths of a column are counted exactly, as a bitmask with bit
+  /** The profiles of `df`'s columns, by [[profileWithCount]]. */
+  def profile(df: DataFrame): Seq[ColumnProfile] = profileWithCount(df)._2
+
+  /** The row count of `df` and the profiles of its columns: per column the
+    * fraction of non-null values matching `rx` plus shape stats, computed
+    * in one aggregate per table with no sketches. The distinct value
+    * lengths of a column are counted exactly, as a bitmask with bit
     * `min(length, 63)` set per non-null value, so lengths of 63 or more
     * share one bit; the quantitative rule only asks whether more than 4
     * lengths occur.
     */
-  def profile(df: DataFrame): Seq[ColumnProfile] = {
+  def profileWithCount(df: DataFrame): (Long, Seq[ColumnProfile]) = {
     val cols = df.columns.filterNot(_ == repro.core.PFDCheck.TidCol).toSeq
-    val aggs = cols.flatMap { c =>
+    val aggs = (count(lit(1)) as "__rows") +: cols.flatMap { c =>
       val s = col(c).cast(StringType)
       val lengthBit = call_function("shiftleft", lit(1L), least(length(s), lit(63)))
       Seq(
@@ -49,7 +53,7 @@ object Profiler {
       case x: java.lang.Number => x.doubleValue
     }.getOrElse(0.0)
 
-    cols.map { c =>
+    row.getAs[Long]("__rows") -> cols.map { c =>
       val n = d(s"${c}__n").toLong
       val digits = d(s"${c}__digits")
       val isFloat = d(s"${c}__float")
