@@ -192,11 +192,10 @@ object PFDCheck {
       .groupBy("pfd", "row", "attr", "lkey")
       // structs, not bare keys: collect_list drops nulls, and a null rk counts
       .agg(collect_list(struct(col(TidCol), col("rk"), col("value"))) as "members")
+      .withColumn("m", majorityUdf(col("members.rk")))
       .select(col("pfd"), col("row"), col("attr"), col("lkey"),
-              size(col("members")).cast("long") as "tot", majorityUdf(col("members.rk")) as "m",
-              col("members"))
-      .select(col("pfd"), col("row"), col("attr"), col("lkey"), col("tot"),
-              col("m._1") as "majk", col("m._2") as "majc", col("members"))
+              size(col("members")).cast("long") as "tot", col("m._1") as "majk",
+              col("m._2") as "majc", col("members"))
   }
 
   /** Repair candidates of `pfds` (§5.3): single-tuple violations of the

@@ -16,29 +16,13 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
 
   import spark.implicits._
 
-  // the tables hold a few rows: four shuffle partitions instead of the
-  // session's default cut each query's tasks, and so the suite's time
-  private val partitions = "spark.sql.shuffle.partitions"
-  private lazy val sessionPartitions = spark.conf.get(partitions)
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    sessionPartitions
-    spark.conf.set(partitions, "4")
-  }
-
-  override def afterAll(): Unit = {
-    spark.conf.set(partitions, sessionPartitions)
-    super.afterAll()
-  }
-
-  /** Every selection of the kernel and of the reference on `df`, labelled:
-    * each formulation's four selections run as one query, their rows as
-    * JSON, so that a case costs two Spark jobs.
+  /** Every selection of the kernel and of the reference on `df`, labelled.
+    * Each formulation's four selections run as one query, with their rows
+    * as JSON, and are compared as multisets of rows.
     */
   private def same(df: DataFrame, pfds: Seq[PFD]): Prop = {
     def rows(selections: (String, DataFrame)*): Map[(String, String), Int] =
-      selections.map { case (label, d) => d.select(lit(label) as "sel", to_json(struct(col("*"))) as "row") }
+      selections.map { case (label, d) => d.select(lit(label), to_json(struct(col("*")))) }
         .reduce(_ union _).as[(String, String)].collect().toSeq
         .groupMapReduce(identity)(_ => 1)(_ + _)
     val ours = rows(
@@ -75,8 +59,10 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
   private val firstChar = Cell(ConstrainedPattern(Pattern.Empty, p("\\A"), p("\\A*")))
   private val lhsCell: Gen[Cell] =
     Gen.oneOf(Wildcard, firstChar, Cell(ConstrainedPattern.constant(Pattern.Empty, "x", p("\\A*"))))
+  /** Fails on every value but x, y and xy, so that whole groups fail. */
+  private val lowerFirst = Cell(ConstrainedPattern(Pattern.Empty, p("\\LL"), p("\\LL*")))
   private val rhsCell: Gen[Cell] =
-    Gen.oneOf(Wildcard, firstChar, Cell(ConstrainedPattern.wholeLiteral("x")))
+    Gen.oneOf(Wildcard, firstChar, lowerFirst, Cell(ConstrainedPattern.wholeLiteral("x")))
 
   /** One- and two-attribute LHSs over a, b, c, with one or two tableau
     * rows of wildcard, variable and constant cells.

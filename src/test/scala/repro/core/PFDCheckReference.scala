@@ -30,7 +30,8 @@ object PFDCheckReference {
       .withColumn("c", count(lit(1)).over(Window.partitionBy("pfd", "row", "attr", "lkey", "rk")))
       .withColumn("tot", count(lit(1)).over(group))
       .withColumn("majk", first("rk").over(majorityFirst))
-      .withColumn("majc", when(col("majk").isNotNull, first("c").over(majorityFirst)).otherwise(0L))
+      .withColumn("majc",
+                  when(col("majk").isNotNull, first("c").over(majorityFirst)).otherwise(0L))
   }
 
   /** As [[PFDCheck.flagged]]. */

@@ -135,7 +135,8 @@ class PFDSpec extends SparkSpec {
     val d = Seq(("Susan A", null: String), ("Susan B", null: String)).toDF("name", "gender")
     assert(!PFDCheck.satisfies(d, psi2))
     assert(PFDCheck.violations(d, psi2).isEmpty)
-    assert(PFDCheck.validation(d, Seq(psi2)).as[(Int, Long, Long)].collect().toSeq == Seq((0, 2L, 2L)))
+    assert(PFDCheck.validation(d, Seq(psi2)).as[(Int, Long, Long)].collect().toSeq ==
+      Seq((0, 2L, 2L)))
   }
   test("violations and satisfies on an uncached input leave nothing cached") {
     spark.catalog.clearCache()
