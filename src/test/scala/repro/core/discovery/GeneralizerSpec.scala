@@ -44,6 +44,16 @@ class GeneralizerSpec extends SparkSpec {
     val g = generalizeStrings(Seq("M", "F")).get
     assert(g == Pattern(Vector(Cls(CharClass.Upper, Rep.One))))
   }
+  test("a character outside the BMP is one symbol, so the shape matches its input") {
+    // U+1D400 is the surrogate pair D835 DC00: one code point, two chars
+    val mathBoldA = "𝐀"
+    assert(generalizeStrings(Seq(s"${mathBoldA}b")).get.render == "\\S\\LL")
+    assert(generalizeStrings(Seq(s"b$mathBoldA")).get.render == "\\LL\\S")
+    val ss = Seq(s"${mathBoldA}b", s"$mathBoldA${mathBoldA}cd", "-xy")
+    val g = generalizeStrings(ss).get
+    assert(g.render == "\\S+\\LL+")
+    ss.foreach(s => assert(g.matches(s), s))
+  }
 
   // ---------------- generalCellFor ----------------
 
