@@ -54,11 +54,15 @@ object CharClass {
   /** The four base (non-root) classes, i.e. the intermediate tree level. */
   val bases: Seq[CharClass] = Seq(Upper, Lower, Digit, Symbol)
 
-  /** The base class of a character — its immediate parent in the tree. */
-  def of(ch: Char): CharClass =
-    if (Upper.accepts(ch)) Upper
-    else if (Lower.accepts(ch)) Lower
-    else if (Digit.accepts(ch)) Digit
+  /** The base class of the code point `cp` — its immediate parent in the
+    * tree. A code point outside the BMP is one symbol, as in a compiled
+    * pattern, which matches code points.
+    */
+  def of(cp: Int): CharClass =
+    if (!Character.isBmpCodePoint(cp)) Symbol
+    else if (Upper.accepts(cp.toChar)) Upper
+    else if (Lower.accepts(cp.toChar)) Lower
+    else if (Digit.accepts(cp.toChar)) Digit
     else Symbol
 
   /** Parent node, or None for the root. */

@@ -19,20 +19,21 @@ object Generalizer {
   private val log = org.slf4j.LoggerFactory.getLogger(getClass)
 
   /** Most specific single pattern covering all of `ss` obtainable from the
-    * generalization tree: each string is compressed to runs of base classes;
-    * all strings must share the run-class sequence; run lengths unify to
-    * `{n}` when constant, `+` otherwise. None when the class sequences
-    * differ (no common shape).
+    * generalization tree: each string is compressed to runs of base classes,
+    * per code point; all strings must share the run-class sequence; run
+    * lengths unify to `{n}` when constant, `+` otherwise. None when the
+    * class sequences differ (no common shape).
     */
   def generalizeStrings(ss: Seq[String]): Option[Pattern] = {
     if (ss.isEmpty || ss.exists(s => s == null || s.isEmpty)) return None
     def runs(s: String): Vector[(CharClass, Int)] = {
+      val cps = s.codePoints().toArray
       val out = Vector.newBuilder[(CharClass, Int)]
       var i = 0
-      while (i < s.length) {
-        val c = CharClass.of(s(i))
+      while (i < cps.length) {
+        val c = CharClass.of(cps(i))
         var j = i
-        while (j < s.length && CharClass.of(s(j)) == c) j += 1
+        while (j < cps.length && CharClass.of(cps(j)) == c) j += 1
         out += ((c, j - i))
         i = j
       }
