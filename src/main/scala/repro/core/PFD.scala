@@ -82,9 +82,9 @@ object PFD {
     PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> Wildcard).toMap, Map(rhs -> Wildcard))))
 }
 
-/** PFD evaluation on DataFrames (§2.2), as one kernel of two queries over
-  * any list of PFDs. It caches nothing, and every DataFrame it returns is
-  * lazy.
+/** PFD evaluation (§2.2), as one kernel of two queries over any list of
+  * PFDs on a DataFrame, and one driver function over values already held in
+  * memory. It caches nothing, and every DataFrame it returns is lazy.
   *
   * Semantics per tableau row t_p: a tuple *participates* if it matches every
   * LHS cell. A constant row (literal RHS) is violated by a single
@@ -94,10 +94,12 @@ object PFD {
   * `groups` returns one row per LHS group with its size, its majority RHS
   * key ([[majorityOf]], taken among the tuples that match the RHS cell) and
   * its members, from one hash aggregation. A null matches no cell, `⊥`
-  * included. Satisfaction (`unsatisfied`), repair candidates (`flagged`,
-  * for `violations` and `ErrorDetector`) and the generalization check
-  * (`validation`) are selections over these two; the FDep and CFDFinder
-  * baselines evaluate their FDs as all-`⊥` PFDs through them.
+  * included. Satisfaction (`unsatisfied`) and repair candidates (`flagged`,
+  * for `violations` and `ErrorDetector`) are selections over these two; the
+  * FDep and CFDFinder baselines evaluate their FDs as all-`⊥` PFDs through
+  * them. The generalization check (`validation`) counts the same LHS
+  * groups on the driver, over interned [[Values]], with the same majority
+  * rule and no Spark job.
   */
 object PFDCheck {
 
@@ -173,10 +175,16 @@ object PFDCheck {
   def majorityOf(rks: Iterable[String]): (String, Long) = {
     val counts = mutable.HashMap.empty[String, Long]
     rks.foreach(k => if (k != null) counts(k) = counts.getOrElse(k, 0L) + 1)
+    majorityOfCounts(counts)
+  }
+
+  /** [[majorityOf]] over the distinct non-null keys of a group, each with
+    * its count.
+    */
+  def majorityOfCounts(counts: Iterable[(String, Long)]): (String, Long) =
     counts.foldLeft((null: String, 0L)) { case (best @ (bk, bc), (k, c)) =>
       if (c > bc || c == bc && CodePoints.compare(k, bk) < 0) (k, c) else best
     }
-  }
 
   /** Pair semantics for the tableau rows of `pfds` that `rows` selects, in
     * one hash aggregation of the [[keyed]] tuples by (pfd, row, attr, lkey):
@@ -250,15 +258,72 @@ object PFDCheck {
   /** T ⊨ ψ, by [[unsatisfied]]. */
   def satisfies(df: DataFrame, pfd: PFD): Boolean = unsatisfied(df, Seq(pfd)).isEmpty
 
-  /** One row (pfd, matched, violations) per candidate PFD of `pfds`, from
-    * its [[groups]] summed by `pfd` (the index into `pfds`): the tuples that
-    * participate in a tableau row, and those off their group's majority RHS
-    * key: failing the RHS cell or holding another key (a tie counts one
-    * side). A PFD that no tuple matches has no row. Lazy: the caller runs
-    * the action.
+  /** Every tuple's values of some attributes, held on the driver and
+    * interned: `ids(a)(t)` indexes `strings` with tuple t's value of
+    * attribute `a` cast to string, or is -1 where that value is null. Every
+    * array of `ids` has one entry per tuple.
     */
-  def validation(df: DataFrame, pfds: Seq[PFD]): DataFrame =
-    groups(df, pfds, _ => true)
-      .groupBy("pfd")
-      .agg(sum("tot") as "matched", sum(col("tot") - col("majc")) as "violations")
+  final case class Values(ids: Map[String, Array[Int]], strings: Array[String])
+
+  /** (matched, violations) of each PFD of `pfds` over `values`, on the
+    * driver: the tuples that participate in a tableau row, and those off
+    * their LHS group's [[majorityOfCounts]] RHS key: failing the RHS cell or
+    * holding another key (a tie counts one side). A tuple participates when
+    * each LHS value is non-null and has a key under its cell; its LHS key
+    * is the sequence of those keys, and its RHS key is none when the RHS
+    * value is null or fails the cell. Each cell's key is extracted once
+    * per distinct value, and tuples are grouped by int key ids. A PFD that
+    * no tuple matches counts (0, 0).
+    */
+  def validation(values: Values, pfds: Seq[PFD]): Seq[(Long, Long)] = {
+    val n = values.ids.valuesIterator.map(_.length).nextOption().getOrElse(0)
+    /** Per tuple the id of its key under `cell` (-1 for none), and the keys. */
+    def keyIds(a: String, cell: Cell): (Array[Int], mutable.ArrayBuffer[String]) = {
+      val ids = values.ids(a)
+      val keys = mutable.ArrayBuffer.empty[String]
+      val keyId = mutable.HashMap.empty[String, Int]
+      val ofValue = Array.fill(values.strings.length)(-2) // -2: not extracted yet
+      val out = ids.map { v =>
+        if (v >= 0 && ofValue(v) == -2)
+          ofValue(v) = cell.key(values.strings(v))
+            .fold(-1)(k => keyId.getOrElseUpdate(k, { keys += k; keys.size - 1 }))
+        if (v < 0) -1 else ofValue(v)
+      }
+      (out, keys)
+    }
+    pfds.map { pfd =>
+      var matched, violations = 0L
+      for (tp <- pfd.tableau; b <- pfd.rhs) {
+        // dense LHS group ids, folding in one attribute's key ids at a time
+        val group = new Array[Int](n)
+        for (a <- pfd.lhs) {
+          val (k, _) = keyIds(a, tp.lhsCells(a))
+          val ids = mutable.LongMap.empty[Int]
+          for (t <- 0 until n)
+            group(t) = if (group(t) < 0 || k(t) < 0) -1
+                       else ids.getOrElseUpdate(group(t).toLong << 32 | k(t), ids.size)
+        }
+        // (group, RHS key + 1) per participating tuple, sorted into runs
+        val (rk, rhsKeys) = keyIds(b, tp.rhsCells(b))
+        val codes = Array.range(0, n).filter(group(_) >= 0)
+          .map(t => group(t).toLong << 32 | (rk(t) + 1))
+        java.util.Arrays.sort(codes)
+        var i = 0
+        while (i < codes.length) {
+          val g = codes(i) >>> 32
+          val counts = mutable.ArrayBuffer.empty[(String, Long)]
+          val from = i
+          while (i < codes.length && (codes(i) >>> 32) == g) {
+            val j = i
+            while (i < codes.length && codes(i) == codes(j)) i += 1
+            val key = (codes(j) & 0xffffffffL).toInt - 1
+            if (key >= 0) counts += rhsKeys(key) -> (i - j).toLong
+          }
+          matched += i - from
+          violations += i - from - majorityOfCounts(counts)._2
+        }
+      }
+      (matched, violations)
+    }
+  }
 }

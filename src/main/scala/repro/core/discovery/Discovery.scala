@@ -32,6 +32,8 @@ final case class Params(
 
 /** One discovered dependency: the embedded dep (lhs → rhs), its PFD (constant
   * tableau or a generalized variable PFD), and bookkeeping for the metrics.
+  * `generalization` is the (matched, violations) of its candidate variable
+  * PFD on the whole table, accepted or not, when Generalize(ψ) tried one.
   */
 final case class DiscoveredDep(
     lhs: Seq[String],
@@ -39,7 +41,8 @@ final case class DiscoveredDep(
     pfd: PFD,
     isVariable: Boolean,
     coverage: Double,
-    tableauSize: Int) {
+    tableauSize: Int,
+    generalization: Option[(Long, Long)] = None) {
   def render: String = s"${lhs.mkString(",")} → $rhs " +
     (if (isVariable) "[variable] " else "[constant] ") +
     f"cov=$coverage%.2f rows=$tableauSize"
@@ -66,7 +69,8 @@ final case class DiscoveryResult(deps: Seq[DiscoveredDep], millis: Long)
   * tuples; level 1 is the lattice's root slice, the whole index with no
   * conditioning value. The index is collected once per discovery, whatever
   * the number of attributes and slices, and the candidates of both levels
-  * are validated together in one query.
+  * are validated together on the driver, on each tuple's whole values
+  * read from the index, with no Spark job.
   */
 object Discovery {
 
@@ -82,24 +86,26 @@ object Discovery {
 
   def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    cached(PFDCheck.withTid(df0)) { df =>
-      DiscoveryResult(Generalizer.generalize(df, dependencies(df, params), params),
-                      (System.nanoTime() - t0) / 1000000L)
-    }
+    val (found, values) = cached(PFDCheck.withTid(df0))(dependencies(_, params))
+    DiscoveryResult(Generalizer.generalize(values, found, params),
+                    (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Every dependency of `df` (which carries `__tid`) of levels 1 and 2 as
     * its constant PFD, each with its candidate variable PFD when
-    * `params.generalize` asks for one. The candidates are not validated
-    * here: [[Generalizer.generalize]] validates those of a whole discovery
-    * in one query. Level 1 mines the lattice's root slice, the whole index
-    * with no conditioning cell, and reports its pairs in (a, b) order.
+    * `params.generalize` asks for one, and each tuple's whole values of the
+    * attributes the candidates read, from the interned index
+    * ([[PatternIndex.Interned.wholeValues]]; none without a candidate).
+    * The candidates are not validated here: [[Generalizer.generalize]]
+    * validates those of a whole discovery together. Level 1 mines the
+    * lattice's root slice, the whole index with no conditioning cell, and
+    * reports its pairs in (a, b) order.
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
-      : Seq[(DiscoveredDep, Option[PFD])] = {
+      : (Seq[(DiscoveredDep, Option[PFD])], PFDCheck.Values) = {
     val (n, profiles) = Profiler.profileWithCount(df)
     val quals = profiles.filter(_.isQualitative)
-    if (quals.size < 2) Seq.empty
+    if (quals.size < 2) (Seq.empty, PFDCheck.Values(Map.empty, Array.empty))
     else {
       val attrs = quals.map(_.name)
       val tokenized = quals.map(p => p.name -> p.useTokenize).toMap
@@ -116,7 +122,9 @@ object Discovery {
         if (params.maxLhs >= 2)
           discoverLevel2(ix, n, attrs, tokenized, trivial, params, single.map(_._1))
         else Seq.empty
-      single ++ multi
+      val found = single ++ multi
+      val read = found.flatMap(_._2).flatMap(c => c.lhs ++ c.rhs).distinct
+      (found, ix.wholeValues(read, tokenized))
     }
   }
 
@@ -378,15 +386,14 @@ object Discovery {
 
   /** The `maxConditionValues` most frequent values (count ≥ K) of each
     * attribute of `ix`, by count desc, then code point, each with the tuple
-    * numbers of its `full` rows: those at a tokenized column's `FullValuePos`,
-    * or any of an n-gram column's (its n-gram of full length or `SymbolValuePos`).
+    * numbers of its whole-value rows ([[PatternIndex.Interned.isWholeRow]]).
     */
   private[discovery] def topValues(ix: PatternIndex.Interned, tokenized: Map[String, Boolean],
                                    params: Params): Map[String, Seq[(String, Array[Int])]] = {
     val values = for {
       i <- 0 until ix.size if ix.cnt(i) >= params.minSupport
-      if !tokenized(ix.attrName(i)) || ix.pos(i) == PatternIndex.FullValuePos
-      rows = (ix.start(i) until ix.start(i + 1)).filter(ix.full)
+      isTokenized = tokenized(ix.attrName(i))
+      rows = (ix.start(i) until ix.start(i + 1)).filter(ix.isWholeRow(i, _, isTokenized))
       if rows.length >= params.minSupport
     } yield ix.attrName(i) -> (ix.token(i), rows.map(ix.tid).toArray)
     values.groupMap(_._1)(_._2).map { case (a, vs) =>

@@ -1,6 +1,5 @@
 package repro.core.discovery
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Constant → variable PFD generalization (§4.3, Generalize(ψ); Example 8).
@@ -11,8 +10,9 @@ import repro.core._
   * attribute — including those below the minimum support — and accept the
   * variable PFD iff the violation ratio stays below δ. Discovery builds the
   * candidate of every dependency first ([[candidate]], levels 1 and 2) and
-  * then validates them all in one query over their LHS groups
-  * ([[generalize]]).
+  * then validates them all together on the driver, over each tuple's whole
+  * values read from the interned index ([[generalize]]). No Spark action
+  * runs here.
   */
 object Generalizer {
 
@@ -102,14 +102,16 @@ object Generalizer {
 
   /** Generalize(ψ) for every dependency of a discovery, levels 1 and 2:
     * each `found` constant dependency with its candidate variable PFD. All
-    * candidates are validated on the whole table in one query, the
-    * evidence is logged in one INFO line, and a dependency is reported as
-    * its variable PFD iff the candidate is accepted ([[accepts]]).
+    * candidates are validated on the whole table's `values` (each tuple's
+    * values of the attributes they read) by [[PFDCheck.validation]], the
+    * evidence is logged in one INFO line and kept in each dependency's
+    * `generalization`, and a dependency is reported as its variable PFD iff
+    * the candidate is accepted ([[accepts]]).
     */
-  def generalize(df: DataFrame, found: Seq[(DiscoveredDep, Option[PFD])],
+  def generalize(values: PFDCheck.Values, found: Seq[(DiscoveredDep, Option[PFD])],
                  params: Params): Seq[DiscoveredDep] = {
     val tried = found.collect { case (d, Some(c)) => (d, c) }
-    val evidence = tried.zip(validate(df, tried.map(_._2)))
+    val evidence = tried.zip(PFDCheck.validation(values, tried.map(_._2)))
     if (evidence.nonEmpty)
       log.info(s"generalization: δ = ${params.noise}, one query for ${evidence.size} candidates: " +
         evidence.map { case ((d, _), (m, v)) =>
@@ -121,23 +123,10 @@ object Generalizer {
       case (d, None) => d
       case _ =>
         val ((d, c), e) = decided.next()
-        if (accepts(e, params)) d.copy(pfd = c, isVariable = true) else d
+        if (accepts(e, params)) d.copy(pfd = c, isVariable = true, generalization = Some(e))
+        else d.copy(generalization = Some(e))
     }
   }
-
-  /** (matched, violations) of each candidate on the whole table, from one
-    * query over the LHS groups of all of them, summed per candidate on the
-    * executors ([[PFDCheck.validation]]); a candidate that no tuple matches
-    * counts (0, 0). No candidate, no query. The Spark action runs here, so
-    * traces charge it to generalization.
-    */
-  private[discovery] def validate(df: DataFrame, candidates: Seq[PFD]): Seq[(Long, Long)] =
-    if (candidates.isEmpty) Seq.empty
-    else {
-      val counts = PFDCheck.validation(df, candidates).collect()
-        .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2)))).toMap
-      candidates.indices.map(counts.getOrElse(_, (0L, 0L)))
-    }
 
   /** Accept a candidate iff it matches rows and the disagreement ratio
     * violations / matched is at most δ.

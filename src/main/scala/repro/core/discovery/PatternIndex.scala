@@ -82,6 +82,35 @@ object PatternIndex {
     def isFull(i: Int): Boolean = (start(i) until start(i + 1)).forall(full)
     def attrName(i: Int): String = attrNames(attr(i))
 
+    /** Whether row `k` of pattern `i` is its tuple's whole value of the
+      * pattern's attribute, which a tokenized column (`isTokenized`) or an
+      * n-gram column marks apart: a tokenized column's row at
+      * `FullValuePos`, or an n-gram column's `full` row (its n-gram of full
+      * length, or its pattern at `SymbolValuePos`). Every non-null value
+      * has exactly one. A tokenized column's `full` flag alone does not
+      * tell: a value's only token is `full` too, and that of " abc" is "abc".
+      */
+    def isWholeRow(i: Int, k: Int, isTokenized: Boolean): Boolean =
+      if (isTokenized) pos(i) == FullValuePos else full(k)
+
+    /** Each tuple's whole value ([[isWholeRow]]) of each of `attrs`, as
+      * [[PFDCheck.Values]] with one string per whole-value pattern: what
+      * discovery keeps of the index to validate its candidates.
+      */
+    def wholeValues(attrs: Seq[String], tokenized: Map[String, Boolean]): PFDCheck.Values = {
+      val ids = attrs.map(_ -> Array.fill(nTuples)(-1)).toMap
+      val strings = mutable.ArrayBuffer.empty[String]
+      for (i <- 0 until size; column <- ids.get(attrName(i))) {
+        val isTokenized = tokenized(attrName(i))
+        var id = -1
+        for (k <- start(i) until start(i + 1) if isWholeRow(i, k, isTokenized)) {
+          if (id < 0) { id = strings.size; strings += token(i) }
+          column(tid(k)) = id
+        }
+      }
+      PFDCheck.Values(ids, strings.toArray)
+    }
+
     /** This index on the tuples numbered `tuples` and on `attrs` only, as
       * if they alone had been indexed: patterns left with no rows are
       * dropped. Tuple numbers, attribute ids and token strings are shared

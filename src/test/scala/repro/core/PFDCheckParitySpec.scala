@@ -9,8 +9,9 @@ import repro.core.discovery.{Discovery, Params}
 import repro.data.{Dep, DirtyData}
 
 /** [[PFDCheck.groups]] and its selections against the window formulation
-  * they replaced ([[PFDCheckReference]]): flagged cells, validation counts,
-  * the unsatisfied set and the group rows CFDFinder reads.
+  * they replaced ([[PFDCheckReference]]): flagged cells, the unsatisfied set
+  * and the group rows CFDFinder reads; and the driver's validation counts
+  * over the table's collected values against the reference's query.
   */
 class PFDCheckParitySpec extends SparkSpec with PropHelper {
 
@@ -18,7 +19,9 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
 
   /** Every selection of the kernel and of the reference on `df`, labelled.
     * Each formulation's four selections run as one query, with their rows
-    * as JSON, and are compared as multisets of rows.
+    * as JSON, and are compared as multisets of rows. The kernel's
+    * validation runs on the driver; its counts join the query as a local
+    * table, with no row for a PFD that no tuple matches.
     */
   private def same(df: DataFrame, pfds: Seq[PFD]): Prop = {
     def rows(selections: (String, DataFrame)*): Map[(String, String), Int] =
@@ -27,7 +30,8 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
         .groupMapReduce(identity)(_ => 1)(_ + _)
     val ours = rows(
       "flagged" -> PFDCheck.flagged(df, pfds),
-      "validation" -> PFDCheck.validation(df, pfds),
+      "validation" -> PFDCheck.validation(PFDCheckReference.values(df), pfds).zipWithIndex
+        .collect { case ((m, v), i) if m > 0 => (i, m, v) }.toDF("pfd", "matched", "violations"),
       "unsatisfied" -> PFDCheck.unsatisfied(df, pfds),
       "groups" -> PFDCheck.groups(df, pfds, _ => true)
         .select("pfd", "row", "attr", "lkey", "tot", "majk", "majc"))

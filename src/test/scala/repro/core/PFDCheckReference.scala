@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import PFDCheck.TidCol
+import scala.collection.mutable
 
 /** Pair semantics as they were before [[PFDCheck.groups]], kept as the
   * reference the hash aggregation is compared with. Four window functions
@@ -55,6 +56,24 @@ object PFDCheckReference {
       .groupBy("pfd")
       .agg(count(lit(1)) as "matched",
            count(when(col("rk").isNull || col("rk") =!= col("majk"), 1)) as "violations")
+
+  /** `df`'s columns but `__tid`, cast to string and collected, as the
+    * [[PFDCheck.Values]] that [[PFDCheck.validation]] reads: what discovery
+    * reads from the interned index, taken from `df` itself.
+    */
+  def values(df: DataFrame): PFDCheck.Values = {
+    val cols = df.columns.filterNot(_ == TidCol)
+    val rows = df.select(cols.map(col(_).cast("string")): _*).collect()
+    val strings = mutable.ArrayBuffer.empty[String]
+    val ids = cols.indices.map { j =>
+      val id = mutable.HashMap.empty[String, Int]
+      cols(j) -> rows.map { r =>
+        if (r.isNullAt(j)) -1
+        else id.getOrElseUpdate(r.getString(j), { strings += r.getString(j); strings.size - 1 })
+      }
+    }
+    PFDCheck.Values(ids.toMap, strings.toArray)
+  }
 
   /** One row (pfd, row, attr, lkey, tot, majk, majc) per LHS group, as
     * CFDFinder read them.

@@ -170,8 +170,7 @@ class DiscoverySpec extends SparkSpec {
       collidingKeys.toDF("first", "second", "rhs"))
     val pfd = PFD(Seq("first", "second"), Seq("rhs"), Seq(
       PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard))))
-    val counts = PFDCheck.validation(df, Seq(pfd)).select("matched", "violations").head()
-    val (matched, violations) = (counts.getLong(0), counts.getLong(1))
+    val Seq((matched, violations)) = PFDCheck.validation(PFDCheckReference.values(df), Seq(pfd))
     assert(matched == 3 && violations == 0)
   }
 

@@ -82,10 +82,20 @@ class GeneralizerSpec extends SparkSpec {
 
   // ---------------- end-to-end validation ----------------
 
+  /** Each tuple's whole values of `df`'s qualitative columns, read from
+    * its interned index as discovery reads them.
+    */
+  private def indexed(df: DataFrame): PFDCheck.Values = {
+    val quals = Profiler.profile(df).filter(_.isQualitative)
+    Discovery.mineEntries(PatternIndex.build(df, quals))
+      .wholeValues(quals.map(_.name), quals.map(p => p.name -> p.useTokenize).toMap)
+  }
+
   /** One dependency's candidate, validated on its own. */
   private def generalizeAlone(df: DataFrame, a: String, b: String, entries: Seq[Discovery.Entry],
                               tokenized: Map[String, Boolean], params: Params): Option[PFD] =
-    candidate(Seq(a), b, entries, tokenized).filter(c => accepts(validate(df, Seq(c)).head, params))
+    candidate(Seq(a), b, entries, tokenized)
+      .filter(c => accepts(PFDCheck.validation(indexed(df), Seq(c)).head, params))
 
   test("a variable PFD is rejected when group disagreement exceeds δ") {
     import spark.implicits._
@@ -123,13 +133,26 @@ class GeneralizerSpec extends SparkSpec {
       Map("name" -> true, "gender" -> false), Params()).isEmpty)
   }
 
-  // ---------------- one validation query per discovery ----------------
+  // ---------------- one validation per discovery, on the driver ----------------
+
+  /** The driver validation of `candidates` over `values`, against the window
+    * formulation's query over `df` ((0, 0) where it has no row).
+    */
+  private def assertReferenceValidation(df: DataFrame, values: PFDCheck.Values,
+                                        candidates: Seq[PFD], clue: String): Unit = {
+    val reference = PFDCheckReference.validation(df, candidates).collect()
+      .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2)))).toMap
+    assert(PFDCheck.validation(values, candidates) ==
+           candidates.indices.map(reference.getOrElse(_, (0L, 0L))), clue)
+  }
 
   test("batched validation on T13 equals each candidate validated alone") {
-    val t13 = DirtyData.table(spark, 13, scale = 0.01).df
-    val candidates = Discovery.dependencies(t13, Params(maxLhs = 2)).flatMap(_._2)
-    val batched = validate(t13, candidates)
-    assert(batched == candidates.map(c => validate(t13, Seq(c)).head))
+    val t13 = PFDCheck.withTid(DirtyData.table(spark, 13, scale = 0.01).df)
+    val (found, values) = Discovery.dependencies(t13, Params(maxLhs = 2))
+    val candidates = found.flatMap(_._2)
+    val batched = PFDCheck.validation(values, candidates)
+    assert(batched == candidates.map(c => PFDCheck.validation(values, Seq(c)).head))
+    assertReferenceValidation(t13, values, candidates, "T13")
     val decisions = batched.map(accepts(_, Params()))
     assert(decisions.contains(true) && decisions.contains(false))
   }
@@ -147,13 +170,17 @@ class GeneralizerSpec extends SparkSpec {
       pfd("name", byFirstName, "gender"),                                     // holds
       pfd("name", Discovery.cellFor(isTokenized = true, Pattern.lit("Susan"), 0), "gender"), // holds, fewer rows
       pfd("gender", Cell(ConstrainedPattern.wholeLiteral("F")), "name"))      // fails, fewer rows
-    val batched = validate(df, candidates)
-    assert(batched == candidates.map(c => validate(df, Seq(c)).head))
+    val values = indexed(df)
+    val batched = PFDCheck.validation(values, candidates)
+    assert(batched == candidates.map(c => PFDCheck.validation(values, Seq(c)).head))
     assert(batched(1) == ((0L, 0L)) && batched(2) == ((60L, 0L)) && batched(3) == ((30L, 0L)))
     assert(batched(0)._1 == 60 && batched(4)._1 == 30)
     val found = candidates.map(c => (DiscoveredDep(c.lhs, c.rhs.head, c, isVariable = false, 1.0, 1), Some(c)))
-    assert(Generalizer.generalize(df, found, Params()).map(_.isVariable) ==
-           Seq(false, false, true, true, false))
+    val deps = Generalizer.generalize(values, found, Params())
+    assert(deps.map(_.isVariable) == Seq(false, false, true, true, false))
+    assert(deps.map(_.generalization) == batched.map(Some(_)))
+    assert(deps.slice(1, 4).map(_.generalization) ==
+           Seq(Some((0L, 0L)), Some((60L, 0L)), Some((30L, 0L))))
   }
 
   test("generalization adds as many Spark jobs for 2 candidates as for 12") {
@@ -164,10 +191,24 @@ class GeneralizerSpec extends SparkSpec {
     val wider = base
       .withColumn("initial", substring(col("name"), 1, 1))
       .withColumn("title", when(col("gender") === "M", "Mr").otherwise("Ms"))
-    def candidates(df: DataFrame) = Discovery.dependencies(df, Params()).count(_._2.isDefined)
+    def candidates(df: DataFrame) = Discovery.dependencies(df, Params())._1.count(_._2.isDefined)
     assert(candidates(base) == 2 && candidates(wider) == 12)
     def added(df: DataFrame) = countJobs(Discovery.discover(df, Params())) -
       countJobs(Discovery.discover(df, Params(generalize = false)))
-    assert(added(base) > 0 && added(wider) == added(base))
+    assert(added(base) == 0 && added(wider) == added(base))
   }
+
+  // Opt-in (PAPER_SIZE_CHECKS=1): T1–T15 at paper size, single-LHS and level 2.
+  if (sys.env.get("PAPER_SIZE_CHECKS").contains("1"))
+    test("paper size: the driver validation of every candidate equals the window query") {
+      for (id <- 1 to 15; maxLhs <- Seq(1, 2)) {
+        val t = DirtyData.table(spark, id)
+        Discovery.cached(PFDCheck.withTid(t.df)) { df =>
+          val (found, values) = Discovery.dependencies(df, Params(maxLhs = maxLhs))
+          val candidates = found.flatMap(_._2)
+          assert(candidates.nonEmpty, s"T$id maxLhs $maxLhs")
+          assertReferenceValidation(df, values, candidates, s"T$id maxLhs $maxLhs")
+        }
+      }
+    }
 }

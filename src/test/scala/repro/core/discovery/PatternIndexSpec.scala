@@ -112,4 +112,42 @@ class PatternIndexSpec extends SparkSpec {
     val rows = PatternIndex.build(Seq("𝐀𝐁").toDF("code"), Seq(code)).collect()
     assert(rows.map(r => (r.getString(2), r.getInt(3))).toSeq == Seq(("𝐀", 0), ("𝐀𝐁", 0)))
   }
+
+  test("each tuple's whole values read from the interned index equal its string casts") {
+    import spark.implicits._
+    val long = "abcdefghijklmnopq" // 17 code points, more than MaxPrefixLen
+    val supplementary = "𝐀𝐁𝐂𝐃𝐄𝐅𝐆𝐇𝐈𝐉𝐊𝐋𝐌x" // 14 code points in 27 chars
+    assert(long.length > Tokenizer.MaxPrefixLen && supplementary.length > 2 * Tokenizer.MaxPrefixLen)
+    val rows = Seq[(Option[String], Option[String], Option[Int])](
+      (Some(" abc"), Some("%"), Some(1)),
+      (Some("abc"), Some("--"), Some(22)),
+      (Some("a-b c"), Some(""), Some(333)),
+      (None, Some(long), Some(4444)),
+      (Some(""), Some(supplementary), None),
+      (Some("x𝐀y z"), None, Some(6)),
+      (Some("--"), Some("x𝐀"), Some(-7)),
+      (Some(" abc"), Some("abc"), Some(1)),
+      (None, None, None))
+    val df = repro.core.PFDCheck.withTid(rows.toDF("tok", "ngram", "num"))
+    val attrs = Seq("tok", "ngram", "num")
+    val tokenized = Map("tok" -> true, "ngram" -> false, "num" -> false)
+    val ix = Discovery.mineEntries(PatternIndex.build(df,
+      attrs.map(a => ColumnProfile(a, isQualitative = true, useTokenize = tokenized(a), nonNull = 0))))
+    val casts = df.select(attrs.map(col(_).cast("string")): _*).collect()
+      .map(r => attrs.indices.map(j => Option(r.getString(j))))
+    // one whole-value row per non-null value, so no tuple has two
+    for ((a, j) <- attrs.zipWithIndex) {
+      val tuples = for {
+        i <- 0 until ix.size if ix.attrName(i) == a
+        k <- ix.start(i) until ix.start(i + 1) if ix.isWholeRow(i, k, tokenized(a))
+      } yield ix.tid(k)
+      assert(tuples.size == tuples.distinct.size && tuples.size == casts.count(_(j).isDefined), a)
+    }
+    // the index holds the tuples with a non-null value, and theirs exactly
+    val values = ix.wholeValues(attrs, tokenized)
+    val fromIndex = (0 until ix.nTuples)
+      .map(t => attrs.map(a => Some(values.ids(a)(t)).filter(_ >= 0).map(values.strings)))
+    def counted(vs: Seq[Seq[Option[String]]]) = vs.groupMapReduce(identity)(_ => 1)(_ + _)
+    assert(counted(fromIndex) == counted(casts.toSeq.filter(_.exists(_.isDefined))))
+  }
 }
