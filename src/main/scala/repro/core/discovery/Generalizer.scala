@@ -123,8 +123,8 @@ object Generalizer {
       case (d, None) => d
       case _ =>
         val ((d, c), e) = decided.next()
-        if (accepts(e, params)) d.copy(pfd = c, isVariable = true, generalization = Some(e))
-        else d.copy(generalization = Some(e))
+        val withEvidence = d.copy(generalization = Some(e))
+        if (accepts(e, params)) withEvidence.copy(pfd = c, isVariable = true) else withEvidence
     }
   }
 
