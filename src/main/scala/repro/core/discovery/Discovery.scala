@@ -386,14 +386,13 @@ object Discovery {
 
   /** The `maxConditionValues` most frequent values (count ≥ K) of each
     * attribute of `ix`, by count desc, then code point, each with the tuple
-    * numbers of its whole-value rows ([[PatternIndex.Interned.isWholeRow]]).
+    * numbers of its whole-value rows ([[PatternIndex.Interned.wholeRows]]).
     */
   private[discovery] def topValues(ix: PatternIndex.Interned, tokenized: Map[String, Boolean],
                                    params: Params): Map[String, Seq[(String, Array[Int])]] = {
     val values = for {
       i <- 0 until ix.size if ix.cnt(i) >= params.minSupport
-      isTokenized = tokenized(ix.attrName(i))
-      rows = (ix.start(i) until ix.start(i + 1)).filter(ix.isWholeRow(i, _, isTokenized))
+      rows = ix.wholeRows(i, tokenized(ix.attrName(i)))
       if rows.length >= params.minSupport
     } yield ix.attrName(i) -> (ix.token(i), rows.map(ix.tid).toArray)
     values.groupMap(_._1)(_._2).map { case (a, vs) =>

@@ -82,18 +82,21 @@ object PatternIndex {
     def isFull(i: Int): Boolean = (start(i) until start(i + 1)).forall(full)
     def attrName(i: Int): String = attrNames(attr(i))
 
-    /** Whether row `k` of pattern `i` is its tuple's whole value of the
-      * pattern's attribute, which a tokenized column (`isTokenized`) or an
-      * n-gram column marks apart: a tokenized column's row at
-      * `FullValuePos`, or an n-gram column's `full` row (its n-gram of full
-      * length, or its pattern at `SymbolValuePos`). Every non-null value
-      * has exactly one. A tokenized column's `full` flag alone does not
-      * tell: a value's only token is `full` too, and that of " abc" is "abc".
+    /** The rows of pattern `i` that are their tuple's whole value of the
+      * pattern's attribute, which a tokenized column (`isTokenized`) and an
+      * n-gram column mark apart: all rows of a tokenized column's pattern
+      * at `FullValuePos`, or an n-gram column's `full` rows (its n-gram of
+      * full length, or its pattern at `SymbolValuePos`). Every non-null
+      * value has exactly one such row. A tokenized column's `full` flag
+      * alone does not tell: a value's only token is `full` too, and that
+      * of " abc" is "abc".
       */
-    def isWholeRow(i: Int, k: Int, isTokenized: Boolean): Boolean =
-      if (isTokenized) pos(i) == FullValuePos else full(k)
+    def wholeRows(i: Int, isTokenized: Boolean): IndexedSeq[Int] =
+      if (!isTokenized) (start(i) until start(i + 1)).filter(full)
+      else if (pos(i) == FullValuePos) start(i) until start(i + 1)
+      else Range(0, 0)
 
-    /** Each tuple's whole value ([[isWholeRow]]) of each of `attrs`, as
+    /** Each tuple's whole value ([[wholeRows]]) of each of `attrs`, as
       * [[PFDCheck.Values]] with one string per whole-value pattern: what
       * discovery keeps of the index to validate its candidates.
       */
@@ -101,11 +104,10 @@ object PatternIndex {
       val ids = attrs.map(_ -> Array.fill(nTuples)(-1)).toMap
       val strings = mutable.ArrayBuffer.empty[String]
       for (i <- 0 until size; column <- ids.get(attrName(i))) {
-        val isTokenized = tokenized(attrName(i))
-        var id = -1
-        for (k <- start(i) until start(i + 1) if isWholeRow(i, k, isTokenized)) {
-          if (id < 0) { id = strings.size; strings += token(i) }
-          column(tid(k)) = id
+        val rows = wholeRows(i, tokenized(attrName(i)))
+        if (rows.nonEmpty) {
+          rows.foreach(k => column(tid(k)) = strings.size)
+          strings += token(i)
         }
       }
       PFDCheck.Values(ids, strings.toArray)

@@ -139,7 +139,7 @@ class PatternIndexSpec extends SparkSpec {
     for ((a, j) <- attrs.zipWithIndex) {
       val tuples = for {
         i <- 0 until ix.size if ix.attrName(i) == a
-        k <- ix.start(i) until ix.start(i + 1) if ix.isWholeRow(i, k, tokenized(a))
+        k <- ix.wholeRows(i, tokenized(a))
       } yield ix.tid(k)
       assert(tuples.size == tuples.distinct.size && tuples.size == casts.count(_(j).isDefined), a)
     }
