@@ -343,6 +343,15 @@ class DiscoverySpec extends SparkSpec {
     assert(shape(deps) == shape(named) && flags == namedFlags)
   }
 
+  test("a token after a leading separator is not the whole value: no ⟨abc⟩ cell for \" abc\"") {
+    val rows = Seq.fill(6)((" abc", "F")) ++ Seq.fill(4)(("abc", "F")) ++ Seq.fill(10)(("p q r", "M"))
+    val df = rows.toDF("name", "gender")
+    val deps = Discovery.discover(df).deps
+    assert(!deps.exists(d => d.lhs == Seq("gender") && d.rhs == "name" &&
+      d.pfd.tableau.exists(_.rhsCells("name").render == "⟨abc⟩")))
+    assert(ErrorDetector.detect(df, deps).filter(col("value") === " abc").count() == 0)
+  }
+
   // ------------------------------------------------------------------
   // Tableau selection internals.
   // ------------------------------------------------------------------
