@@ -13,7 +13,9 @@ object Tokenizer {
   /** A mined partial value: the substring, its position (token index for
     * `tokens`; 0 for `prefixes`, which all start the value), and whether
     * anything follows it in the original value (token boundary information
-    * used when the pattern is turned into a constrained pattern).
+    * used when the pattern is turned into a constrained pattern). Position
+    * 0 means "begins at offset 0", so a part at 0 with `atEnd` is the whole
+    * value.
     */
   final case class Part(token: String, pos: Int, atEnd: Boolean)
 
@@ -30,12 +32,15 @@ object Tokenizer {
     */
   def informative(s: String): Boolean = s.codePoints().anyMatch(Character.isLetterOrDigit(_))
 
-  /** Split into separator-delimited tokens with token indexes. */
+  /** Split into separator-delimited tokens with token indexes, counted
+    * from 1 when the value starts with a separator: the first token of
+    * " abc" is at 1, so no token at 0 follows a separator.
+    */
   def tokens(s: String): Seq[Part] = {
     if (s == null || s.isEmpty) return Seq.empty
     val out = Vector.newBuilder[Part]
     var i = 0
-    var pos = 0
+    var pos = if (isSep(s, 0)) 1 else 0
     val n = s.length
     def next(i: Int): Int = s.offsetByCodePoints(i, 1)
     while (i < n) {

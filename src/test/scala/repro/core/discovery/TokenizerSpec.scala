@@ -21,6 +21,11 @@ class TokenizerSpec extends AnyFunSuite with PropHelper {
   test("leading/trailing separators do not create empty tokens") {
     assert(tokens(" -x- ").map(_.token) == Seq("x"))
   }
+  test("a leading separator numbers the tokens from 1: no token at 0 follows a separator") {
+    assert(tokens(" abc").map(t => (t.token, t.pos, t.atEnd)) == Seq(("abc", 1, true)))
+    assert(tokens("--x y").map(t => (t.token, t.pos)) == Seq(("x", 1), ("y", 2)))
+    assert(tokens("abc").map(t => (t.token, t.pos, t.atEnd)) == Seq(("abc", 0, true)))
+  }
   test("tokens of empty / null input") {
     assert(tokens("").isEmpty); assert(tokens(null).isEmpty)
   }
