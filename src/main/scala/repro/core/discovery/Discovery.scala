@@ -52,9 +52,9 @@ final case class DiscoveryResult(deps: Seq[DiscoveredDep], millis: Long)
 
 /** The PFD discovery algorithm of Fig. 4, on Spark DataFrames.
   *
-  * Pipeline per table: profile columns → build the inverted pattern index
-  * once → collect it to the driver, interned to int pattern ids →
-  * substring-prune, cap and support-filter the patterns → count the joint
+  * Pipeline per table: collect the table's values to the driver once, as
+  * strings → profile the columns and build the inverted pattern index on
+  * the driver, interned to int pattern ids → substring-prune, cap and support-filter the patterns → count the joint
   * occurrences of every LHS pattern with the patterns of the other
   * attributes in primitive arrays → the decision function f accepts
   * (p_A → p_B) when |tids(p_A)| ≥ K and the best co-occurring RHS pattern
@@ -67,7 +67,7 @@ final case class DiscoveryResult(deps: Seq[DiscoveredDep], millis: Long)
   * whose children already produced a dependency, and mines each
   * conditioning slice as the interned index restricted to the slice's
   * tuples; level 1 is the lattice's root slice, the whole index with no
-  * conditioning value. The index is collected once per discovery, whatever
+  * conditioning value. The table is collected once per discovery, whatever
   * the number of attributes and slices, and the candidates of both levels
   * are validated together on the driver, on each tuple's whole values
   * read from the index, with no Spark job.
@@ -84,14 +84,14 @@ object Discovery {
                          attrB: String, tokB: String, posB: Int, cj: Long,
                          fullA: Boolean, fullB: Boolean)
 
-  def discover(df0: DataFrame, params: Params = Params()): DiscoveryResult = {
+  def discover(df: DataFrame, params: Params = Params()): DiscoveryResult = {
     val t0 = System.nanoTime()
-    val (found, values) = cached(PFDCheck.withTid(df0))(dependencies(_, params))
+    val (found, values) = dependencies(df, params)
     DiscoveryResult(Generalizer.generalize(values, found, params),
                     (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** Every dependency of `df` (which carries `__tid`) of levels 1 and 2 as
+  /** Every dependency of `df` of levels 1 and 2 as
     * its constant PFD, each with its candidate variable PFD when
     * `params.generalize` asks for one, and each tuple's whole values of the
     * attributes the candidates read, from the interned index
@@ -103,13 +103,12 @@ object Discovery {
     */
   private[discovery] def dependencies(df: DataFrame, params: Params)
       : (Seq[(DiscoveredDep, Option[PFD])], PFDCheck.Values) = {
-    val (n, profiles) = Profiler.profileWithCount(df)
+    val Indexed(n, profiles, ix) = mineEntries(df)
     val quals = profiles.filter(_.isQualitative)
     if (quals.size < 2) (Seq.empty, PFDCheck.Values(Map.empty, Array.empty))
     else {
       val attrs = quals.map(_.name)
       val tokenized = quals.map(p => p.name -> p.useTokenize).toMap
-      val ix = mineEntries(PatternIndex.build(df, quals))
       val trivial = trivialPatterns(ix, params, n)
       val (entries, capDropped) = mine(ix, params, trivial)
       logCapDropped(1, params, Seq(capDropped))
@@ -142,12 +141,26 @@ object Discovery {
   // Mining an interned index (the root slice or a conditioning slice).
   // ------------------------------------------------------------------
 
-  /** Collect `index` ([[PatternIndex.build]]'s rows) to the driver once and
-    * intern it to dense pattern ids: the one index collect of a discovery,
-    * which traces charge to mining by this method's name.
+  /** A table collected and indexed by [[mineEntries]]: its row count, its
+    * columns' profiles and the interned index of its qualitative columns.
     */
-  private[discovery] def mineEntries(index: DataFrame): PatternIndex.Interned =
-    PatternIndex.intern(index.collect())
+  private[discovery] final case class Indexed(rows: Long, profiles: Seq[ColumnProfile],
+                                              index: PatternIndex.Interned)
+
+  /** Collect `df`'s columns but `__tid` as strings ([[Profiler.asStrings]]),
+    * the one Spark job of a discovery, which traces charge to mining by
+    * this method's name; then profile the columns and intern the index of
+    * the qualitative ones, on the driver.
+    */
+  private[discovery] def mineEntries(df: DataFrame): Indexed = {
+    val strings = Profiler.asStrings(df)
+    val rows = strings.collect()
+    val columns = Profiler.columns(rows, strings.columns.length)
+    val profiles = Profiler.profile(strings.columns.toSeq, columns)
+    val quals = profiles.indices.filter(profiles(_).isQualitative)
+    Indexed(rows.length, profiles,
+            PatternIndex.intern(quals.map(profiles), quals.map(columns), rows.length))
+  }
 
   private def key(ix: PatternIndex.Interned, i: Int) = (ix.attrName(i), ix.token(i), ix.pos(i))
 

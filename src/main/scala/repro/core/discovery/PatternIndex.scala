@@ -6,11 +6,12 @@ import org.apache.spark.sql.types._
 import repro.core.{CodePoints, PFDCheck}
 import scala.collection.mutable
 
-/** The hash-based inverted list of §4.3 (lines 5–12), as a DataFrame:
-  * one row per (tid, attr, token, pos) with `pos` a token index (tokenized
-  * columns, full value added as pos = -1) or 0 (n-gram columns, whose
-  * n-grams are all prefixes). Discovery collects it to the driver once and
-  * interns it ([[Interned]]); level 2 mines restrictions of that one
+/** The hash-based inverted list of §4.3 (lines 5–12): one row per (tid,
+  * attr, token, pos) with `pos` a token index (tokenized columns, full
+  * value added as pos = -1) or 0 (n-gram columns, whose n-grams are all
+  * prefixes). Discovery builds it on the driver, interned ([[Interned]]),
+  * from the table's values collected once; [[build]] emits the same rows
+  * as a DataFrame. Level 2 mines restrictions of that one
   * interned index to the tuples of each frequent whole value of a
   * conditioning attribute ([[Interned.restrict]]), read from the index.
   * `prune` applies the substring-pruning optimization of §4.4 to an
@@ -28,11 +29,32 @@ object PatternIndex {
     */
   val SymbolValuePos: Int = -2
 
+  /** The index rows of one non-null value `s` of a column, `tokenize`d or
+    * not, each passed to `emit(token, pos, full)`, where `full` marks the
+    * rows that are the whole value: a tokenized column's tokens and its
+    * whole value at `FullValuePos`; an n-gram column's informative
+    * prefixes, or its whole value at `SymbolValuePos` when it has no letter
+    * or digit. [[build]] and the driver's [[intern]] both index by it.
+    */
+  def parts(s: String, tokenize: Boolean)(emit: (String, Int, Boolean) => Unit): Unit =
+    if (tokenize) {
+      // tokens are runs of letters and digits, so each is informative
+      Tokenizer.tokens(s).foreach(t => emit(t.token, t.pos, t.pos == 0 && t.atEnd))
+      emit(s, FullValuePos, true)
+    }
+    // Prefix n-grams only: every pattern the paper mines or lists
+    // (Table 3) anchors at offset 0 — `850\D{7}`, `6060\D` — while
+    // mid-string offsets mostly surface positional coincidences
+    // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
+    // also bounds C2 linearly instead of quadratically.
+    else if (!Tokenizer.informative(s)) emit(s, SymbolValuePos, true)
+    else Tokenizer.prefixes(s).foreach(t => if (Tokenizer.informative(t.token)) emit(t.token, t.pos, t.atEnd))
+
   /** Build the inverted index for the qualitative columns of `profiles`,
     * in one scan: one UDF over all of their values emits every column's
-    * rows, with the columns [[intern]] reads in its order: tid (long), attr,
-    * token, pos, full. Every row at `FullValuePos` or `SymbolValuePos` has
-    * `full` set: it is the one flag of a whole value.
+    * rows ([[parts]]), with the columns [[intern]] reads in its order: tid
+    * (long), attr, token, pos, full. Every row at `FullValuePos` or
+    * `SymbolValuePos` has `full` set: it is the one flag of a whole value.
     */
   def build(df0: DataFrame, profiles: Seq[ColumnProfile]): DataFrame = {
     val df = PFDCheck.withTid(df0)
@@ -42,23 +64,10 @@ object PatternIndex {
     val tokenize = useful.map(_.useTokenize).toArray
 
     val extractor = udf { (vs: Seq[String]) =>
-      vs.indices.flatMap { i =>
-        val s = vs(i)
-        if (s == null) Seq.empty
-        else if (tokenize(i))
-          Tokenizer.tokens(s).filter(t => Tokenizer.informative(t.token))
-            .map(t => (names(i), t.token, t.pos, t.pos == 0 && t.atEnd)) :+
-            ((names(i), s, FullValuePos, true))
-        else
-          // Prefix n-grams only: every pattern the paper mines or lists
-          // (Table 3) anchors at offset 0 — `850\D{7}`, `6060\D` — while
-          // mid-string offsets mostly surface positional coincidences
-          // ("an" at offset 3 of both Atlanta and Savannah). Prefix-only
-          // also bounds C2 linearly instead of quadratically.
-          if (!Tokenizer.informative(s)) Seq((names(i), s, SymbolValuePos, true))
-          else Tokenizer.prefixes(s).filter(t => Tokenizer.informative(t.token))
-            .map(t => (names(i), t.token, t.pos, t.atEnd))
-      }
+      val out = mutable.ArrayBuffer.empty[(String, String, Int, Boolean)]
+      for (i <- vs.indices if vs(i) != null)
+        parts(vs(i), tokenize(i))((token, pos, full) => out += ((names(i), token, pos, full)))
+      out.toSeq
     }
     df.select(
         col(PFDCheck.TidCol).cast(LongType) as "tid",
@@ -88,8 +97,7 @@ object PatternIndex {
       * at `FullValuePos`, or an n-gram column's `full` rows (its n-gram of
       * full length, or its pattern at `SymbolValuePos`). Every non-null
       * value has exactly one such row. A tokenized column's `full` flag
-      * alone does not tell: a value's only token is `full` too, and that
-      * of " abc" is "abc".
+      * alone does not tell: a value's only token is `full` too.
       */
     def wholeRows(i: Int, isTokenized: Boolean): IndexedSeq[Int] =
       if (!isTokenized) (start(i) until start(i + 1)).filter(full)
@@ -139,46 +147,76 @@ object PatternIndex {
 
   private final case class Key(attr: Int, token: String, pos: Int)
 
-  /** Intern rows of [[build]]: one pattern id per (attr, token, pos), rows
-    * grouped by pattern, tuple numbers in the order rows first name a `__tid`.
+  /** Interns index rows given one at a time, in row order: one pattern id
+    * per (attr, token, pos), in the order rows first name it, and the rows
+    * grouped by pattern by a counting sort, each pattern's in row order.
+    */
+  private final class Builder {
+    private val patIds = mutable.HashMap.empty[Key, Int]
+    private val keys = mutable.ArrayBuffer.empty[Key]
+    private val rowPat = mutable.ArrayBuilder.make[Int]
+    private val rowTid = mutable.ArrayBuilder.make[Int]
+    private val rowFull = mutable.ArrayBuilder.make[Boolean]
+
+    def add(attr: Int, token: String, pos: Int, tuple: Int, full: Boolean): Unit = {
+      val k = Key(attr, token, pos)
+      rowPat += patIds.getOrElseUpdate(k, { keys += k; keys.size - 1 })
+      rowTid += tuple
+      rowFull += full
+    }
+
+    def result(attrNames: Array[String], nTuples: Int): Interned = {
+      val (pats, tuples, fulls) = (rowPat.result(), rowTid.result(), rowFull.result())
+      val start = new Array[Int](keys.size + 1)
+      pats.foreach(p => start(p + 1) += 1)
+      for (i <- 1 to keys.size) start(i) += start(i - 1)
+      val next = start.clone()
+      val tid = new Array[Int](pats.length)
+      val full = new Array[Boolean](pats.length)
+      for (r <- pats.indices) {
+        val at = next(pats(r))
+        tid(at) = tuples(r); full(at) = fulls(r)
+        next(pats(r)) += 1
+      }
+      new Interned(keys.map(_.attr).toArray, attrNames, keys.map(_.token).toArray,
+                   keys.map(_.pos).toArray, start, tid, full, nTuples)
+    }
+  }
+
+  /** Intern rows of [[build]]: tuple numbers in the order rows first name a
+    * `__tid`, attribute ids in the order rows first name an attribute.
     */
   def intern(rows: Array[Row]): Interned = {
-    val n = rows.length
     val attrIds = mutable.HashMap.empty[String, Int]
-    val patIds = mutable.HashMap.empty[Key, Int]
-    val keys = mutable.ArrayBuffer.empty[Key]
     val tidIds = mutable.LongMap.empty[Int]
-    val rowPat = new Array[Int](n)
-    val rowTid = new Array[Int](n)
-    val rowFull = new Array[Boolean](n)
-    var r = 0
-    while (r < n) {
-      val row = rows(r)
-      val a = attrIds.getOrElseUpdate(row.getString(1), attrIds.size)
-      val k = Key(a, row.getString(2), row.getInt(3))
-      rowPat(r) = patIds.getOrElseUpdate(k, { keys += k; keys.size - 1 })
-      rowTid(r) = tidIds.getOrElseUpdate(row.getLong(0), tidIds.size)
-      rowFull(r) = row.getBoolean(4)
-      r += 1
-    }
-    // counting sort of the rows by pattern
-    val start = new Array[Int](keys.size + 1)
-    rowPat.foreach(p => start(p + 1) += 1)
-    for (i <- 1 to keys.size) start(i) += start(i - 1)
-    val next = start.clone()
-    val tid = new Array[Int](n)
-    val full = new Array[Boolean](n)
-    r = 0
-    while (r < n) {
-      val at = next(rowPat(r))
-      tid(at) = rowTid(r); full(at) = rowFull(r)
-      next(rowPat(r)) += 1
-      r += 1
-    }
+    val b = new Builder
+    for (row <- rows)
+      b.add(attrIds.getOrElseUpdate(row.getString(1), attrIds.size), row.getString(2), row.getInt(3),
+            tidIds.getOrElseUpdate(row.getLong(0), tidIds.size), row.getBoolean(4))
     val names = new Array[String](attrIds.size)
     attrIds.foreach { case (s, a) => names(a) = s }
-    new Interned(keys.map(_.attr).toArray, names, keys.map(_.token).toArray,
-                 keys.map(_.pos).toArray, start, tid, full, tidIds.size)
+    b.result(names, tidIds.size)
+  }
+
+  /** The index of the columns of `profiles` on the driver, whose values are
+    * `columns`, `nRows` rows each; attribute a is `profiles(a)`, and the
+    * tuples are numbered in row order, skipping rows with no value. Its
+    * patterns and their rows are those of [[intern]] over [[build]]'s rows
+    * of the same table, in the same order.
+    */
+  def intern(profiles: Seq[ColumnProfile], columns: Seq[Array[String]], nRows: Int): Interned = {
+    val tokenize = profiles.map(_.useTokenize).toArray
+    val values = columns.toArray
+    val b = new Builder
+    var nTuples = 0
+    for (r <- 0 until nRows) {
+      val t = nTuples
+      for (a <- values.indices; s = values(a)(r) if s != null) {
+        nTuples = t + 1
+        parts(s, tokenize(a))((token, pos, full) => b.add(a, token, pos, t, full))
+      }
+    }
+    b.result(profiles.map(_.name).toArray, nTuples)
   }
 
   /** Patterns kept by [[prune]] (ids of an [[Interned]]), and how many

@@ -188,7 +188,7 @@ class DiscoverySpec extends SparkSpec {
     val params = Params(maxPatternsPerAttr = 5, maxConditionValues = 3)
     val quals = Profiler.profile(t7).filter(_.isQualitative)
     val n = t7.count()
-    val ix = Discovery.mineEntries(PatternIndex.build(t7, quals))
+    val ix = Discovery.mineEntries(t7).index
     val trivial = Discovery.trivialPatterns(ix, params, n)
     assert(trivial.nonEmpty) // the constant "A-" id prefix
     val dashes = (0 until ix.size).filter(i => ix.attrName(i) == "flag" && ix.token(i) == "--")
@@ -232,7 +232,7 @@ class DiscoverySpec extends SparkSpec {
     val index = PatternIndex.build(t7, Profiler.profile(t7).filter(_.isQualitative)).cache()
     try {
       val n = t7.count()
-      val ix = Discovery.mineEntries(index)
+      val ix = Discovery.mineEntries(t7).index
       // the defaults; a cap that binds on some attributes; a noise at which
       // some pair's cj equals floor(cntA·(1−δ)) < ceil(cntA·(1−δ))
       for (params <- Seq(Params(), Params(maxPatternsPerAttr = 5),
@@ -292,6 +292,13 @@ class DiscoverySpec extends SparkSpec {
     val params = ex8params.copy(generalize = false)
     val jobs = countJobs(Discovery.discover(base, params))
     assert(countJobs(Discovery.discover(wider, params)) == jobs)
+  }
+
+  test("a discovery is one Spark job, the collect of its table") {
+    val t7 = DirtyData.table(spark, 7).df
+    assert(countJobs(Discovery.discover(t7, Params(maxLhs = 2))) == 1)
+    // a local table may be collected with no job at all
+    assert(countJobs(Discovery.discover(table6, ex8params)) <= 1)
   }
 
   test("a cached input that carries __tid stays cached after discovery") {

@@ -86,9 +86,9 @@ class GeneralizerSpec extends SparkSpec {
     * its interned index as discovery reads them.
     */
   private def indexed(df: DataFrame): PFDCheck.Values = {
-    val quals = Profiler.profile(df).filter(_.isQualitative)
-    Discovery.mineEntries(PatternIndex.build(df, quals))
-      .wholeValues(quals.map(_.name), quals.map(p => p.name -> p.useTokenize).toMap)
+    val indexed = Discovery.mineEntries(df)
+    val quals = indexed.profiles.filter(_.isQualitative)
+    indexed.index.wholeValues(quals.map(_.name), quals.map(p => p.name -> p.useTokenize).toMap)
   }
 
   /** One dependency's candidate, validated on its own. */

@@ -113,12 +113,23 @@ class PatternIndexSpec extends SparkSpec {
     assert(rows.map(r => (r.getString(2), r.getInt(3))).toSeq == Seq(("𝐀", 0), ("𝐀𝐁", 0)))
   }
 
-  test("each tuple's whole values read from the interned index equal its string casts") {
+  private lazy val wholeValueTable = tableOf(wholeValueRows)
+
+  private def tableOf(rows: Seq[(Option[String], Option[String], Option[Int])]) = {
     import spark.implicits._
+    repro.core.PFDCheck.withTid(rows.toDF("tok", "ngram", "num"))
+  }
+
+  /** Whole values of every kind: tokenized ones with leading separators,
+    * pure symbols and empty strings; n-gram ones longer than
+    * `MaxPrefixLen`, outside the BMP and without a letter or digit; an
+    * integer column; nulls, and a row of nulls only.
+    */
+  private lazy val wholeValueRows = {
     val long = "abcdefghijklmnopq" // 17 code points, more than MaxPrefixLen
     val supplementary = "𝐀𝐁𝐂𝐃𝐄𝐅𝐆𝐇𝐈𝐉𝐊𝐋𝐌x" // 14 code points in 27 chars
     assert(long.length > Tokenizer.MaxPrefixLen && supplementary.length > 2 * Tokenizer.MaxPrefixLen)
-    val rows = Seq[(Option[String], Option[String], Option[Int])](
+    Seq[(Option[String], Option[String], Option[Int])](
       (Some(" abc"), Some("%"), Some(1)),
       (Some("abc"), Some("--"), Some(22)),
       (Some("a-b c"), Some(""), Some(333)),
@@ -128,11 +139,13 @@ class PatternIndexSpec extends SparkSpec {
       (Some("--"), Some("x𝐀"), Some(-7)),
       (Some(" abc"), Some("abc"), Some(1)),
       (None, None, None))
-    val df = repro.core.PFDCheck.withTid(rows.toDF("tok", "ngram", "num"))
+  }
+
+  test("each tuple's whole values read from the interned index equal its string casts") {
+    val df = wholeValueTable
     val attrs = Seq("tok", "ngram", "num")
     val tokenized = Map("tok" -> true, "ngram" -> false, "num" -> false)
-    val ix = Discovery.mineEntries(PatternIndex.build(df,
-      attrs.map(a => ColumnProfile(a, isQualitative = true, useTokenize = tokenized(a), nonNull = 0))))
+    val ix = Discovery.mineEntries(df).index
     val casts = df.select(attrs.map(col(_).cast("string")): _*).collect()
       .map(r => attrs.indices.map(j => Option(r.getString(j))))
     // one whole-value row per non-null value, so no tuple has two
@@ -149,5 +162,28 @@ class PatternIndexSpec extends SparkSpec {
       .map(t => attrs.map(a => Some(values.ids(a)(t)).filter(_ >= 0).map(values.strings)))
     def counted(vs: Seq[Seq[Option[String]]]) = vs.groupMapReduce(identity)(_ => 1)(_ + _)
     assert(counted(fromIndex) == counted(casts.toSeq.filter(_.exists(_.isDefined))))
+  }
+
+  /** Each pattern of `ix` in id order: (attr, token, pos) with its rows'
+    * (tuple number, `full`) in tuple order.
+    */
+  private def patterns(ix: PatternIndex.Interned) = (0 until ix.size).map { i =>
+    (ix.attrName(i), ix.token(i), ix.pos(i)) ->
+      (ix.start(i) until ix.start(i + 1)).map(k => (ix.tid(k), ix.full(k))).sortBy(_._1)
+  }
+
+  test("the index discovery builds on the driver equals the interned rows of build") {
+    val tables = Seq("Table 6" -> table6, "T7" -> repro.data.DirtyData.table(spark, 7).df,
+                     "whole values" -> wholeValueTable,
+                     "whole values, a row of nulls first" -> tableOf(wholeValueRows.reverse))
+    for ((name, df) <- tables) {
+      val indexed = Discovery.mineEntries(df)
+      val own = PatternIndex.intern(PatternIndex.build(df, indexed.profiles).collect())
+      assert(indexed.index.size > 0 && patterns(indexed.index) == patterns(own), name)
+      assert(indexed.index.nTuples == own.nTuples && indexed.rows == df.count(), name)
+    }
+    // the whole-value fixture's columns are profiled as its test reads them
+    assert(Discovery.mineEntries(wholeValueTable).profiles.map(p => p.name -> p.useTokenize) ==
+           Seq("tok" -> true, "ngram" -> false, "num" -> false))
   }
 }

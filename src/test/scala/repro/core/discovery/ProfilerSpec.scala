@@ -68,4 +68,47 @@ class ProfilerSpec extends SparkSpec {
     val note = Profiler.profile(df).find(_.name == "note").get
     assert(note.nonNull == 0 && note.isQualitative && !note.useTokenize)
   }
+
+  // ---------------- the driver profile equals the Spark aggregate ----------------
+
+  /** The [[Profiler.Shape]]s of `df`'s columns, computed on the driver. */
+  private def driverShapes(df: org.apache.spark.sql.DataFrame): Seq[Profiler.Shape] = {
+    val strings = Profiler.asStrings(df)
+    val names = strings.columns.toSeq
+    names.zip(Profiler.columns(strings.collect(), names.size)).map { case (c, vs) => Profiler.shape(c, vs) }
+  }
+
+  private def assertParity(df: org.apache.spark.sql.DataFrame): Unit = {
+    val reference = ProfilerReference.shapes(df)
+    assert(driverShapes(df) == reference)
+    assert(Profiler.profile(df) == reference.map(_.profile))
+  }
+
+  test("the driver profile equals the Spark aggregate: nulls, line terminators, signs and dots") {
+    import spark.implicits._
+    val values = Seq[Option[String]](None, Some(""), Some("123\n"), Some("123\r\n"), Some("123\u2028"),
+      Some("123\n\n"), Some("\n"), Some("-.5"), Some("1."), Some("-1.25\r"), Some("."), Some("-"),
+      Some("12a"), Some("007"), None)
+    val df = values.zipWithIndex.map { case (v, i) =>
+      (v, if (i % 3 == 0) v else Some(s"x $i"), Option.empty[String], v.map(_ + "5"))
+    }.toDF("mixed", "sparse", "none", "suffixed")
+    assertParity(df)
+    // each column alone, so that the shares of every value class get tested on their own
+    for (v <- values.flatten.distinct) assertParity(Seq.fill(3)(v).toDF("v"))
+  }
+  test("the driver profile equals the Spark aggregate: non-ASCII, long values, many lengths") {
+    import spark.implicits._
+    val long = "7" * 63
+    val rows = Seq(
+      ("é", "𝐀𝐁 c", long, "1"), ("café au lait", "x𝐀y", long + "7", "22"),
+      ("naïve", "𝐀", "7" * 100, "333"), ("a-b", "b 𝐀-c", "7" * 62, "4444"),
+      ("plain", "𝐀𝐁𝐂", "", "55555"), ("é é", "𝐀 𝐁", long, "666666"))
+    assertParity(rows.toDF("accented", "supplementary", "long", "lengths"))
+  }
+  test("the driver profile equals the Spark aggregate: integer and double columns, an empty table") {
+    import spark.implicits._
+    val numbers = (0 until 40).map(i => (i * 977, i * 3.17, -i.toLong, if (i % 2 == 0) Some(1.5) else None))
+    assertParity(numbers.toDF("int", "double", "long", "half"))
+    assertParity(Seq.empty[(String, Int, Double)].toDF("s", "i", "d"))
+  }
 }
