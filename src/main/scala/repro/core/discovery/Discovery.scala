@@ -54,7 +54,8 @@ final case class DiscoveryResult(deps: Seq[DiscoveredDep], millis: Long)
   *
   * Pipeline per table: collect the table's values to the driver once, as
   * strings → profile the columns and build the inverted pattern index on
-  * the driver, interned to int pattern ids → substring-prune, cap and support-filter the patterns → count the joint
+  * the driver, interned to int pattern ids → substring-prune, cap and
+  * support-filter the patterns → count the joint
   * occurrences of every LHS pattern with the patterns of the other
   * attributes in primitive arrays → the decision function f accepts
   * (p_A → p_B) when |tids(p_A)| ≥ K and the best co-occurring RHS pattern
