@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, monotonically_increasing_id}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** A tableau cell: the wildcard `⊥` or a disjunction of constrained patterns.
   *
@@ -82,24 +84,22 @@ object PFD {
     PFD(lhs, Seq(rhs), Seq(PTuple(lhs.map(_ -> Wildcard).toMap, Map(rhs -> Wildcard))))
 }
 
-/** PFD evaluation (§2.2), as one kernel of two queries over any list of
-  * PFDs on a DataFrame, and one driver function over values already held in
-  * memory. It caches nothing, and every DataFrame it returns is lazy.
+/** PFD evaluation (§2.2), as one driver kernel over the tuples' values held
+  * in memory as interned ids ([[Values]]), which [[collect]] takes from a
+  * DataFrame in one Spark job.
   *
-  * Semantics per tableau row t_p: a tuple *participates* if it matches every
-  * LHS cell. A constant row (literal RHS) is violated by a single
-  * participating tuple whose RHS fails the row's cell (single-tuple
-  * semantics, Example 6) — `singleTuple` finds these in one scan. Pair
-  * semantics group the participating tuples by their LHS equivalence keys;
-  * `groups` returns one row per LHS group with its size, its majority RHS
-  * key ([[majorityOf]], taken among the tuples that match the RHS cell) and
-  * its members, from one hash aggregation. A null matches no cell, `⊥`
-  * included. Satisfaction (`unsatisfied`) and repair candidates (`flagged`,
-  * for `violations` and `ErrorDetector`) are selections over these two; the
-  * FDep and CFDFinder baselines evaluate their FDs as all-`⊥` PFDs through
-  * them. The generalization check (`validation`) counts the same LHS
-  * groups on the driver, over interned [[Values]], with the same majority
-  * rule and no Spark job.
+  * Semantics per tableau row t_p and RHS attribute B: a tuple
+  * *participates* when each of its LHS values is non-null and has a key
+  * under its cell, and its LHS key is the sequence of those keys. Its RHS
+  * key is none when its B value is null or fails the B cell; a null matches
+  * no cell, `⊥` included. [[evaluate]] groups the participating tuples by
+  * LHS key and gives each group its size `tot`, its majority RHS key `majk`
+  * ([[majorityOfCounts]]) and that key's count `majc`. A constant row
+  * (literal RHS) is violated by a single participating tuple with no RHS
+  * key (single-tuple semantics, Example 6). Repair candidates (`flagged`,
+  * for `violations` and `ErrorDetector`), satisfaction (`unsatisfied`, for
+  * `satisfies` and FDep) and the generalization check (`validation`) are
+  * selections over the evaluation, and CFDFinder reads its groups.
   */
 object PFDCheck {
 
@@ -110,62 +110,37 @@ object PFDCheck {
     if (df.columns.contains(TidCol)) df
     else df.withColumn(TidCol, monotonically_increasing_id())
 
-  /** The columns `pfds` read as one string array column, and per tableau
-    * row that `rows` selects its (PFD index, row index), its LHS checks
-    * (position, cell) and its RHS checks (attribute, position, cell).
+  /** Every tuple's values of some attributes, held on the driver and
+    * interned: `ids(a)(t)` indexes `strings` with tuple t's value of
+    * attribute `a` cast to string, or is -1 where that value is null. Every
+    * array of `ids` has one entry per tuple.
     */
-  private def compile(pfds: Seq[PFD], rows: PTuple => Boolean) = {
-    val attrs = pfds.flatMap(p => p.lhs ++ p.rhs).distinct
-    val at = attrs.zipWithIndex.toMap
-    val checks = for {
-      (pfd, i) <- pfds.zipWithIndex
-      (tp, r) <- pfd.tableau.zipWithIndex if rows(tp)
-    } yield (i, r, pfd.lhs.map(a => (at(a), tp.lhsCells(a))),
-             pfd.rhs.map(b => (b, at(b), tp.rhsCells(b))))
-    (array(attrs.map(a => col(a).cast("string")): _*), checks)
+  final case class Values(ids: Map[String, Array[Int]], strings: Array[String]) {
+    /** The number of tuples. */
+    def size: Int = ids.valuesIterator.map(_.length).nextOption().getOrElse(0)
+    /** Tuple t's value of attribute `a`, or null. */
+    def apply(a: String, t: Int): String = if (ids(a)(t) < 0) null else strings(ids(a)(t))
   }
 
-  /** Single-tuple violations of the constant rows of `pfds`, in one scan: a
-    * UDF returns each (PFD `pfd`, row `row`, RHS attribute `attr`) a tuple
-    * violates, exploded into rows. With no constant row the optimizer plans
-    * no scan. Columns: __tid, pfd, row, attr, value.
+  /** `df`'s tuples, each as its `__tid` ([[withTid]]) and its values of
+    * `attrs` cast to string by Spark, from one collect: tuple t is the t-th
+    * row collected. The detection's and each baseline's one Spark job.
     */
-  def singleTuple(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
-    val (vals, checks) = compile(pfds, _.isConstantRow)
-    val violated = udf { (vs: Seq[String]) =>
-      for {
-        (i, r, lhs, rhs) <- checks
-        if lhs.forall { case (j, c) => vs(j) != null && c.matches(vs(j)) }
-        (b, bi, c) <- rhs if !(vs(bi) != null && c.matches(vs(bi)))
-      } yield (i, r, b, vs(bi))
-    }
-    withTid(df).where(lit(checks.nonEmpty))
-      .select(col(TidCol), explode(violated(vals)) as "v")
-      .select(col(TidCol), col("v._1") as "pfd", col("v._2") as "row", col("v._3") as "attr",
-              col("v._4") as "value")
-  }
-
-  /** The tuples that participate in the tableau rows of `pfds` that `rows`
-    * selects, keyed by a UDF once per (PFD `pfd`, row `row`, RHS attribute
-    * `attr`): the LHS key array `lkey`, the RHS key `rk` (null when the RHS
-    * cell fails) and `value`. Columns: __tid, pfd, row, attr, lkey, rk, value.
-    */
-  private[core] def keyed(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
-    val (vals, checks) = compile(pfds, rows)
-    val keys = udf { (vs: Seq[String]) =>
-      checks.flatMap { case (i, r, lhs, rhs) =>
-        val lkey = lhs.map { case (j, c) => Option(vs(j)).flatMap(c.key) }
-        if (lkey.exists(_.isEmpty)) Nil
-        else rhs.map { case (b, bi, c) =>
-          (i, r, b, lkey.flatten, Option(vs(bi)).flatMap(c.key).orNull, vs(bi))
-        }
+  def collect(df: DataFrame, attrs: Seq[String]): (Array[Any], Values) = {
+    val rows = withTid(df).select(col(TidCol) +: attrs.map(col(_).cast("string")): _*).collect()
+    val strings = mutable.ArrayBuffer.empty[String]
+    val ids = attrs.zipWithIndex.map { case (a, j) =>
+      val id = mutable.HashMap.empty[String, Int]
+      a -> rows.map { r =>
+        if (r.isNullAt(j + 1)) -1
+        else id.getOrElseUpdate(r.getString(j + 1), { strings += r.getString(j + 1); strings.size - 1 })
       }
     }
-    withTid(df)
-      .select(col(TidCol), explode(keys(vals)) as "k")
-      .select(col(TidCol), col("k._1") as "pfd", col("k._2") as "row", col("k._3") as "attr",
-              col("k._4") as "lkey", col("k._5") as "rk", col("k._6") as "value")
+    (rows.map(_.get(0)), Values(ids.toMap, strings.toArray))
   }
+
+  /** `df`'s columns but `__tid`, as [[Values]] by [[collect]]. */
+  def values(df: DataFrame): Values = collect(df, df.columns.filterNot(_ == TidCol).toSeq)._2
 
   /** The majority key of one LHS group's RHS keys `rks` and its count. Null
     * keys (tuples failing the RHS cell) are skipped; of the keys with the
@@ -186,99 +161,46 @@ object PFDCheck {
       if (c > bc || c == bc && CodePoints.compare(k, bk) < 0) (k, c) else best
     }
 
-  /** Pair semantics for the tableau rows of `pfds` that `rows` selects, in
-    * one hash aggregation of the [[keyed]] tuples by (pfd, row, attr, lkey):
-    * one row per LHS group, with its size `tot`, its [[majorityOf]] key
-    * `majk` and count `majc`, and its `members` (structs of __tid, rk,
-    * value). `majk` is null only when every member fails the RHS cell. A
-    * group's members are collected in one task, so the largest group must
-    * fit in one task's memory.
+  /** Row `row` of the tableau of `pfds(pfd)`, evaluated for its RHS
+    * attribute `attr` over n tuples. `group(t)` is tuple t's LHS group, a
+    * dense id, or -1 when t does not participate; `rk(t)` indexes `rhsKeys`
+    * with t's RHS key, or is -1 for none. Of the `tot(g)` tuples of group
+    * g, `majc(g)` hold its majority key `majk(g)` (null and 0 when none has
+    * a key).
     */
-  def groups(df: DataFrame, pfds: Seq[PFD], rows: PTuple => Boolean): DataFrame = {
-    val majorityUdf = udf((rks: Seq[String]) => majorityOf(rks))
-    keyed(df, pfds, rows)
-      .groupBy("pfd", "row", "attr", "lkey")
-      // structs, not bare keys: collect_list drops nulls, and a null rk counts
-      .agg(collect_list(struct(col(TidCol), col("rk"), col("value"))) as "members")
-      .withColumn("m", majorityUdf(col("members.rk")))
-      .select(col("pfd"), col("row"), col("attr"), col("lkey"),
-              size(col("members")).cast("long") as "tot", col("m._1") as "majk",
-              col("m._2") as "majc", col("members"))
-  }
-
-  /** Repair candidates of `pfds` (§5.3): single-tuple violations of the
-    * constant rows, and for the other rows each tuple off the strict-majority
-    * RHS key of its LHS group of two or more. A 50/50 split has no majority
-    * witness, so it flags nothing. Columns: __tid, pfd, row, attr, value,
-    * pair (whether pair semantics flagged the cell).
-    */
-  def flagged(df: DataFrame, pfds: Seq[PFD]): DataFrame = {
-    val single = singleTuple(df, pfds).withColumn("pair", lit(false))
-    // planning the group query costs more than running the single-tuple
-    // scan on a small table, so it is only built when some row needs it
-    if (pfds.forall(_.tableau.forall(_.isConstantRow))) single
-    else single.unionByName(groups(df, pfds, !_.isConstantRow)
-      .where(col("tot") > 1 && col("majc") * 2 > col("tot"))
-      .select(col("pfd"), col("row"), col("attr"), col("majk"), explode(col("members")) as "m")
-      .where(col("m.rk").isNull || col("m.rk") =!= col("majk"))
-      .select(col(s"m.$TidCol") as TidCol, col("pfd"), col("row"), col("attr"),
-              col("m.value") as "value", lit(true) as "pair"))
-  }
-
-  /** Repair candidates of `pfd` over `df`, with the RHS literal as
-    * suggestion when a constant row's cell is the whole value. Output
-    * columns: __tid, attr, value, suggestion (nullable).
-    */
-  def violations(df: DataFrame, pfd: PFD): DataFrame = {
-    val suggest = udf { (r: Int, b: String) =>
-      pfd.tableau(r).rhsCells(b) match {
-        case Pats(List(cp)) if cp.constrainsWhole => cp.constrained.literalValue
-        case _                                    => None
-      }
+  final class Eval(val pfd: Int, val row: Int, val attr: String, val constant: Boolean,
+                   val group: Array[Int], rk: Array[Int], rhsKeys: Array[String],
+                   val tot: Array[Int], val majk: Array[String], val majc: Array[Int],
+                   lhsKeys: Seq[(Array[Int], Array[String])]) {
+    private lazy val first = {
+      val f = new Array[Int](tot.length)
+      for (t <- group.indices.reverse if group(t) >= 0) f(group(t)) = t
+      f
     }
-    flagged(df, Seq(pfd))
-      .select(col(TidCol), col("attr"), col("value"),
-              when(!col("pair"), suggest(col("row"), col("attr"))) as "suggestion")
-      .distinct()
+    /** Group g's LHS key, one key per LHS attribute. */
+    def lkey(g: Int): Seq[String] = lhsKeys.map { case (k, keys) => keys(k(first(g))) }
+    /** Whether tuple t participates and violates the row: with no RHS key
+      * under a constant row, and off the strict majority key of its group
+      * of two or more under the others. A 50/50 split has no majority
+      * witness, so it flags nothing.
+      */
+    def flags(t: Int): Boolean = group(t) >= 0 && {
+      val g = group(t)
+      if (constant) rk(t) < 0
+      else tot(g) > 1 && 2L * majc(g) > tot(g) && (rk(t) < 0 || rhsKeys(rk(t)) != majk(g))
+    }
   }
 
-  /** The indexes into `pfds` (column `pfd`) of the PFDs that `df` does not
-    * satisfy, as one lazy selection. T ⊨ ψ — strict satisfaction — when no
-    * single tuple violates a constant row, and in no LHS group of two or
-    * more tuples under any row does a tuple fail the RHS or disagree with
-    * another. Unlike `flagged`, which flags only minority tuples for repair,
-    * satisfaction fails on any disagreement within an LHS group.
+  /** Each tableau row of `pfds` evaluated over `values`, one [[Eval]] per
+    * (PFD, row, RHS attribute), lazily and in that order. Each cell's key
+    * is extracted once per distinct value, and tuples are grouped by int
+    * key ids, so two LHS keys never collide. Consecutive rows with the same
+    * LHS cells share one grouping.
     */
-  def unsatisfied(df: DataFrame, pfds: Seq[PFD]): DataFrame =
-    singleTuple(df, pfds).select("pfd")
-      .union(groups(df, pfds, _ => true)
-        .where(col("tot") > 1 && col("majc") < col("tot")).select("pfd"))
-      .distinct()
-
-  /** T ⊨ ψ, by [[unsatisfied]]. */
-  def satisfies(df: DataFrame, pfd: PFD): Boolean = unsatisfied(df, Seq(pfd)).isEmpty
-
-  /** Every tuple's values of some attributes, held on the driver and
-    * interned: `ids(a)(t)` indexes `strings` with tuple t's value of
-    * attribute `a` cast to string, or is -1 where that value is null. Every
-    * array of `ids` has one entry per tuple.
-    */
-  final case class Values(ids: Map[String, Array[Int]], strings: Array[String])
-
-  /** (matched, violations) of each PFD of `pfds` over `values`, on the
-    * driver: the tuples that participate in a tableau row, and those off
-    * their LHS group's [[majorityOfCounts]] RHS key: failing the RHS cell or
-    * holding another key (a tie counts one side). A tuple participates when
-    * each LHS value is non-null and has a key under its cell; its LHS key
-    * is the sequence of those keys, and its RHS key is none when the RHS
-    * value is null or fails the cell. Each cell's key is extracted once
-    * per distinct value, and tuples are grouped by int key ids. A PFD that
-    * no tuple matches counts (0, 0).
-    */
-  def validation(values: Values, pfds: Seq[PFD]): Seq[(Long, Long)] = {
-    val n = values.ids.valuesIterator.map(_.length).nextOption().getOrElse(0)
+  def evaluate(values: Values, pfds: Seq[PFD]): Iterator[Eval] = {
+    val n = values.size
     /** Per tuple the id of its key under `cell` (-1 for none), and the keys. */
-    def keyIds(a: String, cell: Cell): (Array[Int], mutable.ArrayBuffer[String]) = {
+    def keyIds(a: String, cell: Cell): (Array[Int], Array[String]) = {
       val ids = values.ids(a)
       val keys = mutable.ArrayBuffer.empty[String]
       val keyId = mutable.HashMap.empty[String, Int]
@@ -289,41 +211,125 @@ object PFDCheck {
             .fold(-1)(k => keyId.getOrElseUpdate(k, { keys += k; keys.size - 1 }))
         if (v < 0) -1 else ofValue(v)
       }
-      (out, keys)
+      (out, keys.toArray)
     }
-    pfds.map { pfd =>
-      var matched, violations = 0L
-      for (tp <- pfd.tableau; b <- pfd.rhs) {
+    var lhsCells = Seq.empty[(String, Cell)]
+    var lhsKeys = Seq.empty[(Array[Int], Array[String])]
+    var group = Array.empty[Int]
+    var nGroups = 0
+    for {
+      (pfd, i) <- pfds.iterator.zipWithIndex
+      (tp, r) <- pfd.tableau.iterator.zipWithIndex
+      b <- pfd.rhs.iterator
+    } yield {
+      val cells = pfd.lhs.map(a => a -> tp.lhsCells(a))
+      if (cells != lhsCells) {
         // dense LHS group ids, folding in one attribute's key ids at a time
-        val group = new Array[Int](n)
-        for (a <- pfd.lhs) {
-          val (k, _) = keyIds(a, tp.lhsCells(a))
-          val ids = mutable.LongMap.empty[Int]
+        lhsCells = cells
+        lhsKeys = cells.map { case (a, c) => keyIds(a, c) }
+        group = new Array[Int](n)
+        val ids = mutable.LongMap.empty[Int]
+        for ((k, _) <- lhsKeys) {
+          ids.clear()
           for (t <- 0 until n)
             group(t) = if (group(t) < 0 || k(t) < 0) -1
                        else ids.getOrElseUpdate(group(t).toLong << 32 | k(t), ids.size)
         }
-        // (group, RHS key + 1) per participating tuple, sorted into runs
-        val (rk, rhsKeys) = keyIds(b, tp.rhsCells(b))
-        val codes = Array.range(0, n).filter(group(_) >= 0)
-          .map(t => group(t).toLong << 32 | (rk(t) + 1))
-        java.util.Arrays.sort(codes)
-        var i = 0
-        while (i < codes.length) {
-          val g = codes(i) >>> 32
-          val counts = mutable.ArrayBuffer.empty[(String, Long)]
-          val from = i
-          while (i < codes.length && (codes(i) >>> 32) == g) {
-            val j = i
-            while (i < codes.length && codes(i) == codes(j)) i += 1
-            val key = (codes(j) & 0xffffffffL).toInt - 1
-            if (key >= 0) counts += rhsKeys(key) -> (i - j).toLong
-          }
-          matched += i - from
-          violations += i - from - majorityOfCounts(counts)._2
-        }
+        nGroups = ids.size
       }
-      (matched, violations)
+      // (group, RHS key + 1) per participating tuple, sorted into runs
+      val (rk, rhsKeys) = keyIds(b, tp.rhsCells(b))
+      val codes = Array.range(0, n).filter(group(_) >= 0)
+        .map(t => group(t).toLong << 32 | (rk(t) + 1))
+      java.util.Arrays.sort(codes)
+      val tot, majc = new Array[Int](nGroups)
+      val majk = new Array[String](nGroups)
+      var j = 0
+      while (j < codes.length) {
+        val g = (codes(j) >>> 32).toInt
+        val counts = mutable.ArrayBuffer.empty[(String, Long)]
+        val from = j
+        while (j < codes.length && (codes(j) >>> 32) == g) {
+          val k = j
+          while (j < codes.length && codes(j) == codes(k)) j += 1
+          val key = (codes(k) & 0xffffffffL).toInt - 1
+          if (key >= 0) counts += rhsKeys(key) -> (j - k).toLong
+        }
+        tot(g) = j - from
+        val (mk, mc) = majorityOfCounts(counts)
+        majk(g) = mk
+        majc(g) = mc.toInt
+      }
+      new Eval(i, r, b, tp.isConstantRow, group, rk, rhsKeys, tot, majk, majc, lhsKeys)
     }
+  }
+
+  /** A repair candidate: tuple `tuple`'s value `value` of RHS attribute
+    * `attr`, flagged under row `row` of PFD `pfd`, by pair semantics or by
+    * a single-tuple check.
+    */
+  final case class Flag(tuple: Int, pfd: Int, row: Int, attr: String, value: String, pair: Boolean)
+
+  /** Repair candidates of `pfds` over `values` (§5.3), by [[Eval.flags]]:
+    * single-tuple violations of the constant rows, and for the other rows
+    * each tuple off the strict-majority RHS key of its LHS group.
+    */
+  def flagged(values: Values, pfds: Seq[PFD]): Seq[Flag] =
+    evaluate(values, pfds).flatMap(e => e.group.indices.filter(e.flags)
+      .map(t => Flag(t, e.pfd, e.row, e.attr, values(e.attr, t), pair = !e.constant))).toSeq
+
+  /** The indexes into `pfds` of the PFDs that `values` does not satisfy.
+    * T ⊨ ψ — strict satisfaction — when no single tuple violates a
+    * constant row, and in no LHS group of two or more tuples under any row
+    * does a tuple fail the RHS or disagree with another. Unlike `flagged`,
+    * which flags only minority tuples for repair, satisfaction fails on any
+    * disagreement within an LHS group. A group short of its size in
+    * majority keys has a tuple that fails the RHS or disagrees, and under
+    * a constant row that is a violation even for a group of one.
+    */
+  def unsatisfied(values: Values, pfds: Seq[PFD]): Set[Int] =
+    evaluate(values, pfds)
+      .filter(e => e.tot.indices.exists(g => e.majc(g) < e.tot(g) && (e.constant || e.tot(g) > 1)))
+      .map(_.pfd).toSet
+
+  /** T ⊨ ψ, by [[unsatisfied]] over `df`'s collected values. */
+  def satisfies(df: DataFrame, pfd: PFD): Boolean =
+    unsatisfied(collect(df, (pfd.lhs ++ pfd.rhs).distinct)._2, Seq(pfd)).isEmpty
+
+  /** Repair candidates of `pfd` over `df`, with the RHS literal as
+    * suggestion when a constant row's cell is the whole value: a local
+    * DataFrame of distinct rows, from one collect. Columns: __tid, attr,
+    * value, suggestion (nullable).
+    */
+  def violations(df: DataFrame, pfd: PFD): DataFrame = {
+    val tidded = withTid(df)
+    val (tids, values) = collect(tidded, (pfd.lhs ++ pfd.rhs).distinct)
+    def suggestion(f: Flag): String = pfd.tableau(f.row).rhsCells(f.attr) match {
+      case Pats(List(cp)) if !f.pair && cp.constrainsWhole => cp.constrained.literalValue.orNull
+      case _                                               => null
+    }
+    cellTable(tidded, Seq("attr", "value", "suggestion"), flagged(values, Seq(pfd))
+      .map(f => Row(tids(f.tuple), f.attr, f.value, suggestion(f))).distinct)
+  }
+
+  /** A local DataFrame of `rows`: `__tid`, typed as in `tidded`, then the
+    * string columns `names`.
+    */
+  private[core] def cellTable(tidded: DataFrame, names: Seq[String], rows: Seq[Row]): DataFrame =
+    tidded.sparkSession.createDataFrame(rows.asJava,
+      StructType(tidded.schema(TidCol) +: names.map(StructField(_, StringType))))
+
+  /** (matched, violations) of each PFD of `pfds` over `values`: the tuples
+    * that participate in a tableau row, and those off their LHS group's
+    * majority key, failing the RHS cell or holding another key (a tie
+    * counts one side). A PFD that no tuple matches counts (0, 0).
+    */
+  def validation(values: Values, pfds: Seq[PFD]): Seq[(Long, Long)] = {
+    val matched, violations = new Array[Long](pfds.size)
+    for (e <- evaluate(values, pfds); g <- e.tot.indices) {
+      matched(e.pfd) += e.tot(g)
+      violations(e.pfd) += e.tot(g) - e.majc(g)
+    }
+    matched.toSeq.zip(violations)
   }
 }

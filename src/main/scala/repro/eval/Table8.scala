@@ -54,15 +54,14 @@ object Table8 {
                             rows: IndexedSeq[(String, String)],
                             oracle: (String, String) => Boolean): Row = {
     val params = Params(minSupport = 5, noise = 0.05, minCoverage = 0.10, generalize = false)
-    Discovery.cached(twoColDf(spark, a, b, rows)) { df =>
-      val found = Discovery.discover(df, params).deps.find(d => d.lhs == Seq(a) && d.rhs == b)
-      val rules = found.toSeq.flatMap(_.pfd.tableau).flatMap { tp =>
-        for (l <- cellToken(tp.lhsCells(a)); r <- cellToken(tp.rhsCells(b))) yield (l, r)
-      }
-      Row(dep, rules.size,
-          if (rules.isEmpty) Double.NaN else rules.count(oracle.tupled).toDouble / rules.size,
-          found.fold(0.0)(_.coverage))
+    val found = Discovery.discover(twoColDf(spark, a, b, rows), params).deps
+      .find(d => d.lhs == Seq(a) && d.rhs == b)
+    val rules = found.toSeq.flatMap(_.pfd.tableau).flatMap { tp =>
+      for (l <- cellToken(tp.lhsCells(a)); r <- cellToken(tp.rhsCells(b))) yield (l, r)
     }
+    Row(dep, rules.size,
+        if (rules.isEmpty) Double.NaN else rules.count(oracle.tupled).toDouble / rules.size,
+        found.fold(0.0)(_.coverage))
   }
 
   private def cellToken(cell: Cell): Option[String] = cell match {

@@ -2,7 +2,7 @@ package repro
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -23,6 +23,32 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   val collidingKeys: Seq[(String, String, String)] =
     Seq(("a\u0001b", "c", "X"), ("a\u0001b", "c", "X"), ("a", "b\u0001c", "Y"))
+
+  /** Int, long, double, boolean, date and timestamp columns with nulls,
+    * keyed by an int `__tid`. The kernel compares values as Spark casts
+    * them to string: `-0.0` is not `0.0`, and a timestamp reads
+    * `2020-01-31 10:00:00` (`java.sql.Timestamp.toString` adds `.0`).
+    */
+  lazy val typedTable: DataFrame = {
+    val s = spark
+    import s.implicits._
+    val Seq(d1, d2, d3) =
+      Seq("2020-01-31", "2021-02-01", "2022-03-01").map(d => Some(java.sql.Date.valueOf(d)))
+    val Seq(ts1, ts2) =
+      Seq("2020-01-31 10:00:00", "2021-02-01 00:00:00").map(t => Some(java.sql.Timestamp.valueOf(t)))
+    Seq((0, Some(1), Some(10L), 1.0e7, Some(true), d1, ts1),
+        (1, Some(1), Some(10L), 1.0e7, Some(true), d1, ts1),
+        (2, Some(2), Some(20L), 0.1, Some(false), d2, ts2),
+        (3, Some(2), Some(20L), 0.1, Some(true), d2, ts2),
+        (4, Some(3), None, -0.0, None, d3, ts2),
+        (5, Some(3), Some(30L), -0.0, Some(false), None, None),
+        (6, None, Some(30L), 0.0, Some(false), d3, ts2),
+        (7, Some(4), Some(40L), 0.0, Some(false), d3, ts2),
+        (8, Some(5), Some(50L), 1.0e7, Some(true), d1, ts1),
+        (9, Some(2), Some(20L), 0.1, Some(false), d2, ts2),
+        (10, Some(4), Some(40L), 0.0, Some(false), d3, ts2))
+      .toDF("__tid", "i", "l", "d", "b", "dt", "ts")
+  }
 
   /** Number of Spark jobs `body` starts, counted by a listener. The
     * listener bus is asynchronous, so the count waits for it to go quiet

@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.{PFD, PFDCheck, PFDCheckReference}
 import repro.data.DirtyData
 
 class CFDFinderSpec extends SparkSpec {
@@ -117,6 +118,47 @@ class CFDFinderSpec extends SparkSpec {
     val jobs = Seq(3, 6).map(k =>
       countJobs(CFDFinder.discover(BaselineReference.independentColumns(spark, k), maxLhs = 2)))
     assert(jobs.head == jobs.last, s"jobs on 3 and 6 columns: $jobs")
+  }
+  test("one Spark job on an RDD-backed table: the collect of its values") {
+    assert(countJobs(CFDFinder.discover(DirtyData.table(spark, 7).df, maxLhs = 2)) == 1)
+  }
+  /** CFDFinder's lattice over the group rows of the Spark window
+    * formulation of the kernel ([[PFDCheckReference.groupRows]]), which
+    * keeps CFDFinder's null rule and casts values as Spark does.
+    */
+  private def kernelReference(df: DataFrame, conf: Double, support: Int, cover: Double,
+                              maxLhs: Int): Seq[CFDFinder.Dep] = {
+    import CFDFinder.{Dep, Rule}
+    val cols = df.columns.toSeq.filterNot(_ == PFDCheck.TidCol)
+    val n = df.count()
+    def mine(cands: Seq[(Seq[String], String)]): Seq[Dep] = {
+      val groups = PFDCheckReference.groupRows(df, cands.map { case (x, b) => PFD.fd(x, b) })
+        .collect().groupBy(_.getInt(0))
+      for {
+        ((lhs, b), i) <- cands.zipWithIndex
+        gs = groups.getOrElse(i, Array.empty[org.apache.spark.sql.Row]).toSeq
+        rules = gs.filter(g => !g.isNullAt(5) && g.getLong(4) >= support &&
+                               g.getLong(6).toDouble / g.getLong(4) >= conf)
+          .map(g => Rule(g.getSeq[String](3), g.getString(5), g.getLong(4),
+                         g.getLong(6).toDouble / g.getLong(4)))
+        covered = rules.map(_.support).sum.toDouble / n
+        variable = gs.map(_.getLong(6)).sum.toDouble / n >= conf
+        if variable || (rules.nonEmpty && covered >= cover)
+      } yield Dep(lhs, b, rules, variable, covered)
+    }
+    val level1 = mine(for (a <- cols; b <- cols if a != b) yield (Seq(a), b))
+    level1 ++ (if (maxLhs < 2) Seq.empty
+               else mine(FDep.minimalPairs(cols, level1.map(d => (d.lhs, d.rhs)))))
+  }
+  test("non-string columns, nulls, an all-null column and an empty table: deps equal the kernel's Spark reference") {
+    val allNull = typedTable.withColumn("n", lit(null).cast("string"))
+    for ((name, df, found) <- Seq(("typed", typedTable, true), ("all-null column", allNull, true),
+                                  ("empty", allNull.where(lit(false)), false))) {
+      val deps = CFDFinder.discover(df, 0.6, 2, 0.1, maxLhs = 2).deps
+      assert(deps.nonEmpty == found, name)
+      assert(BaselineReference.comparable(deps) ==
+        BaselineReference.comparable(kernelReference(df, 0.6, 2, 0.1, maxLhs = 2)), name)
+    }
   }
   test("deps, rules and coverage equal the reference formulation's on T7 and this suite's tables") {
     def same(name: String, df: DataFrame, conf: Double, support: Int, cover: Double,

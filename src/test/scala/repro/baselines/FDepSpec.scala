@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.{PFD, PFDCheck, PFDCheckReference}
 import repro.data.DirtyData
 
 class FDepSpec extends SparkSpec {
@@ -91,6 +92,32 @@ class FDepSpec extends SparkSpec {
     val jobs = Seq(3, 6).map(k =>
       countJobs(FDep.discover(BaselineReference.independentColumns(spark, k), maxLhs = 2)))
     assert(jobs.head == jobs.last, s"jobs on 3 and 6 columns: $jobs")
+  }
+  test("one Spark job on an RDD-backed table: the collect of its values") {
+    assert(countJobs(FDep.discover(DirtyData.table(spark, 7).df, maxLhs = 2)) == 1)
+  }
+  /** FDep's lattice with each level checked by the Spark window formulation
+    * of the kernel ([[PFDCheckReference.unsatisfied]]), which keeps FDep's
+    * null rule and casts values as Spark does.
+    */
+  private def kernelReference(df: DataFrame, maxLhs: Int): Seq[(Seq[String], String)] = {
+    val cols = df.columns.toSeq.filterNot(_ == PFDCheck.TidCol)
+    def holding(cands: Seq[(Seq[String], String)]): Seq[(Seq[String], String)] = {
+      val broken = PFDCheckReference.unsatisfied(df, cands.map { case (x, b) => PFD.fd(x, b) })
+        .collect().map(_.getInt(0)).toSet
+      cands.indices.filterNot(broken).map(cands)
+    }
+    val level1 = holding(for (a <- cols; b <- cols if a != b) yield (Seq(a), b))
+    level1 ++ (if (maxLhs < 2) Seq.empty else holding(FDep.minimalPairs(cols, level1)))
+  }
+  test("non-string columns, nulls, an all-null column and an empty table: deps equal the kernel's Spark reference") {
+    val allNull = typedTable.withColumn("n", lit(null).cast("string"))
+    for ((name, df) <- Seq("typed" -> typedTable, "all-null column" -> allNull,
+                           "empty" -> allNull.where(lit(false)))) {
+      val deps = FDep.discover(df, maxLhs = 2).deps
+      assert(deps.nonEmpty, name)
+      assert(deps == kernelReference(df, maxLhs = 2), name)
+    }
   }
   /** FDep's deps on `df` are the reference's, in any order: the reference
     * lists level 1 in the order of a hash map keyed by the LHS column.

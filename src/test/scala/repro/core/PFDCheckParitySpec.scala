@@ -8,33 +8,44 @@ import repro.{PropHelper, SparkSpec}
 import repro.core.discovery.{Discovery, Params}
 import repro.data.{Dep, DirtyData}
 
-/** [[PFDCheck.groups]] and its selections against the window formulation
-  * they replaced ([[PFDCheckReference]]): flagged cells, the unsatisfied set
-  * and the group rows CFDFinder reads; and the driver's validation counts
-  * over the table's collected values against the reference's query.
+/** The driver kernel ([[PFDCheck.evaluate]]) and its selections against
+  * the Spark window formulation ([[PFDCheckReference]]): flagged cells, the
+  * unsatisfied set, validation counts and the group rows CFDFinder reads.
   */
 class PFDCheckParitySpec extends SparkSpec with PropHelper {
 
   import spark.implicits._
 
+  /** One row (pfd, row, attr, lkey, tot, majk, majc) per LHS group of the
+    * tableau rows that `rows` selects, from the driver's evaluation.
+    */
+  private def groups(values: PFDCheck.Values, pfds: Seq[PFD], rows: PTuple => Boolean = _ => true)
+      : Seq[(Int, Int, String, Seq[String], Long, String, Long)] =
+    PFDCheck.evaluate(values, pfds).filter(e => rows(pfds(e.pfd).tableau(e.row)))
+      .flatMap(e => e.tot.indices.map(g =>
+        (e.pfd, e.row, e.attr, e.lkey(g), e.tot(g).toLong, e.majk(g), e.majc(g).toLong)))
+      .toSeq
+
   /** Every selection of the kernel and of the reference on `df`, labelled.
-    * Each formulation's four selections run as one query, with their rows
-    * as JSON, and are compared as multisets of rows. The kernel's
-    * validation runs on the driver; its counts join the query as a local
-    * table, with no row for a PFD that no tuple matches.
+    * The kernel runs on the driver over `df`'s collected values, and its
+    * selections join one query as local tables; the reference's four run
+    * as one query. Rows are compared as JSON, as multisets of rows. The
+    * kernel's validation has no row for a PFD that no tuple matches.
     */
   private def same(df: DataFrame, pfds: Seq[PFD]): Prop = {
     def rows(selections: (String, DataFrame)*): Map[(String, String), Int] =
       selections.map { case (label, d) => d.select(lit(label), to_json(struct(col("*")))) }
         .reduce(_ union _).as[(String, String)].collect().toSeq
         .groupMapReduce(identity)(_ => 1)(_ + _)
+    val (tids, values) = PFDCheck.collect(df, df.columns.filterNot(_ == PFDCheck.TidCol).toSeq)
     val ours = rows(
-      "flagged" -> PFDCheck.flagged(df, pfds),
-      "validation" -> PFDCheck.validation(PFDCheckReference.values(df), pfds).zipWithIndex
+      "flagged" -> PFDCheck.flagged(values, pfds)
+        .map(f => (tids(f.tuple).asInstanceOf[Long], f.pfd, f.row, f.attr, f.value, f.pair))
+        .toDF(PFDCheck.TidCol, "pfd", "row", "attr", "value", "pair"),
+      "validation" -> PFDCheck.validation(values, pfds).zipWithIndex
         .collect { case ((m, v), i) if m > 0 => (i, m, v) }.toDF("pfd", "matched", "violations"),
-      "unsatisfied" -> PFDCheck.unsatisfied(df, pfds),
-      "groups" -> PFDCheck.groups(df, pfds, _ => true)
-        .select("pfd", "row", "attr", "lkey", "tot", "majk", "majc"))
+      "unsatisfied" -> PFDCheck.unsatisfied(values, pfds).toSeq.toDF("pfd"),
+      "groups" -> groups(values, pfds).toDF("pfd", "row", "attr", "lkey", "tot", "majk", "majc"))
     val reference = rows(
       "flagged" -> PFDCheckReference.flagged(df, pfds),
       "validation" -> PFDCheckReference.validation(df, pfds),
@@ -105,8 +116,7 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
     val df = frame(Seq(List("k", mathBoldA, "x"), List("k", fullwidthA, "x"),
                        List("k", mathBoldA, "x"), List("k", fullwidthA, "x")))
     val fd = PFD.fd(Seq("a"), "b")
-    assert(PFDCheck.groups(df, Seq(fd), _ => true).select("majk", "majc").as[(String, Long)]
-      .collect().toSeq == Seq((fullwidthA, 2L)))
+    assert(groups(PFDCheck.values(df), Seq(fd)).map(g => (g._6, g._7)) == Seq((fullwidthA, 2L)))
     checkProp(same(df, Seq(fd)), 1)
   }
 
@@ -131,8 +141,8 @@ class PFDCheckParitySpec extends SparkSpec with PropHelper {
           checkProp(same(df, validated) :| s"T$id", 1)
           // no group of two or more fails the RHS cell throughout, so the
           // reference's one departure leaves these flags as they were
-          assert(PFDCheck.groups(df, validated, !_.isConstantRow)
-            .where($"tot" > 1 && $"majk".isNull).isEmpty, s"T$id")
+          assert(!groups(PFDCheck.values(df), validated, !_.isConstantRow)
+            .exists(g => g._5 > 1 && g._6 == null), s"T$id")
         }
       }
     }

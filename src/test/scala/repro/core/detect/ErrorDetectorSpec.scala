@@ -1,9 +1,11 @@
 package repro.core.detect
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.IntegerType
 import repro.SparkSpec
 import repro.core._
 import repro.core.discovery.{DiscoveredDep, Discovery}
+import repro.data.DirtyData
 
 class ErrorDetectorSpec extends SparkSpec {
 
@@ -87,6 +89,31 @@ class ErrorDetectorSpec extends SparkSpec {
                     wildcardDep(Seq("country", "gender"), "name"))
     val one = countJobs(ErrorDetector.detect(df, Seq(varDep)).collect())
     assert(countJobs(ErrorDetector.detect(df, three).collect()) == one)
+  }
+  test("detection on an RDD-backed table is one Spark job, the collect of its values") {
+    val t7 = DirtyData.table(spark, 7).df
+    val deps = Discovery.discover(t7).deps
+    assert(deps.nonEmpty)
+    assert(countJobs(ErrorDetector.detect(t7, deps).collect()) == 1)
+  }
+  test("non-string columns with nulls flag the cells the Spark reference flags, as it casts them") {
+    def constant(a: String, value: String, b: String, rhs: String) =
+      DiscoveredDep(Seq(a), b, PFD(Seq(a), Seq(b), Seq(PTuple(
+        Map(a -> Cell(ConstrainedPattern.wholeLiteral(value))),
+        Map(b -> Cell(ConstrainedPattern.wholeLiteral(rhs)))))),
+        isVariable = false, coverage = 1.0, tableauSize = 1)
+    val deps = Seq(constant("d", "1.0E7", "i", "1"), constant("ts", "2020-01-31 10:00:00", "l", "10"),
+                   wildcardDep(Seq("i"), "b"), wildcardDep(Seq("b", "dt"), "l"),
+                   wildcardDep(Seq("d"), "dt"), wildcardDep(Seq("d"), "i"))
+    val ours = ErrorDetector.detect(typedTable, deps)
+    assert(ours.schema(PFDCheck.TidCol).dataType == IntegerType)
+    val reference = PFDCheckReference.flagged(typedTable, deps.map(_.pfd))
+      .select(col(PFDCheck.TidCol), col("attr"), col("value"),
+              element_at(typedLit(deps.map(_.render)), col("pfd") + 1) as "dep")
+      .distinct()
+    assert(ours.collect().toSet == reference.collect().toSet)
+    assert(ours.select(PFDCheck.TidCol, "attr").collect().map(r => (r.getInt(0), r.getString(1))).toSet ==
+      Set((8, "i"), (3, "b"), (6, "l"), (8, "l"), (6, "i")))
   }
   test("discovery then detection on an uncached input leave nothing cached") {
     import spark.implicits._

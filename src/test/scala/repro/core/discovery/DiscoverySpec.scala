@@ -170,7 +170,7 @@ class DiscoverySpec extends SparkSpec {
       collidingKeys.toDF("first", "second", "rhs"))
     val pfd = PFD(Seq("first", "second"), Seq("rhs"), Seq(
       PTuple(Map("first" -> Wildcard, "second" -> Wildcard), Map("rhs" -> Wildcard))))
-    val Seq((matched, violations)) = PFDCheck.validation(PFDCheckReference.values(df), Seq(pfd))
+    val Seq((matched, violations)) = PFDCheck.validation(PFDCheck.values(df), Seq(pfd))
     assert(matched == 3 && violations == 0)
   }
 
